@@ -7,8 +7,8 @@
 //! subspace model fit, batch detection, scenario materialization, the
 //! fused sharded ingest, the 90k-OD-pair large-mesh pipeline, the
 //! end-to-end pipeline, the fault-storm frame-ingest path, the daemon's
-//! loopback-socket serve path, and the checkpoint
-//! write/load/restore cycle) twice:
+//! loopback-socket serve path, the checkpoint write/load/restore cycle,
+//! and the per-close checkpoint append) twice:
 //! once with the pool pinned to a single
 //! thread (the serial baseline) and once with the full pool. Emits a
 //! machine-readable `BENCH_pipeline.json` — stamped with the pool size and
@@ -482,13 +482,12 @@ fn main() {
         );
     }
 
-    // Crash-safety tax: snapshot a fully-ingested tenant pipeline through
-    // the whole checkpoint cycle — canonical encode, fsynced two-slot
-    // write, newest-generation load (checksum verify + decode), and a
-    // full pipeline restore from the snapshot. This is the per-bin-close
-    // overhead every checkpointed tenant pays plus the recovery cost a
-    // restart pays once, so a regression here is a direct hit on daemon
-    // steady-state throughput.
+    // Recovery tax: snapshot a fully-ingested tenant pipeline through the
+    // whole full-state checkpoint cycle — canonical encode, fsynced base
+    // record replacing the log, newest-generation load (checksum verify
+    // + fold), and a full pipeline restore from the snapshot. A tenant
+    // pays the write once per (re)start and the load+restore once per
+    // recovery; the per-close cost is the `checkpoint_close` stage.
     if filter.enabled("checkpoint") {
         let num_bins = if quick { 24 } else { 96 };
         let config = ScenarioConfig { num_bins, total_demand: 800.0, ..Default::default() };
@@ -532,6 +531,64 @@ fn main() {
                 (snap.seq, restored.frames_ingested())
             },
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // Per-close checkpoint cost: what a checkpointed tenant pays at every
+    // bin close to append its generation to the log (build, encode,
+    // fsynced append, as the tenant's own `checkpoint_nanos` counter
+    // sees it), as the median over every close of a window, at 24 and at
+    // 288 bins. A close persists the bins it touched, not the window, so
+    // the two medians stay flat; a 288-bin median pulling away from the
+    // 24-bin one is the quadratic full-snapshot cost coming back.
+    if filter.enabled("checkpoint_close") {
+        let dir = std::env::temp_dir().join("odflow_perf_checkpoint_close");
+        for num_bins in [24usize, 288] {
+            let config = ScenarioConfig { num_bins, total_demand: 800.0, ..Default::default() };
+            let scenario = Scenario::new(config, vec![]).unwrap();
+            let routes = scenario.plan.build_route_table(1.0).unwrap();
+            let ingress = IngressResolver::synthetic(&scenario.topology);
+            let generator = scenario.generator();
+            let mut seqs = vec![0u32; scenario.topology.num_pops()];
+            let frames: Vec<Vec<u8>> =
+                (0..num_bins).flat_map(|b| generator.frames_for_bin(b, &mut seqs)).collect();
+            let per_close_median_ms = || {
+                let _ = std::fs::remove_dir_all(&dir);
+                let mut pipeline = TenantPipeline::new(
+                    TenantConfig::abilene("bench", 0, num_bins),
+                    &scenario.topology,
+                    ingress.clone(),
+                    routes.clone(),
+                )
+                .unwrap();
+                pipeline.set_checkpoint_store(CheckpointStore::new(&dir, "bench"));
+                let counters = pipeline.counters();
+                let nanos = || counters.checkpoint_nanos.load(std::sync::atomic::Ordering::Relaxed);
+                let mut closes = Vec::with_capacity(num_bins);
+                for frame in &frames {
+                    let before = nanos();
+                    pipeline.ingest_frame(frame);
+                    if nanos() > before {
+                        closes.push((nanos() - before) as f64 / 1e6);
+                    }
+                }
+                closes.sort_by(f64::total_cmp);
+                closes.get(closes.len() / 2).copied().unwrap_or(0.0)
+            };
+            let serial_ms = odflow_par::with_thread_limit(1, per_close_median_ms);
+            let parallel_ms = per_close_median_ms();
+            let result = StageResult {
+                name: "checkpoint_close",
+                workload: format!("{num_bins} bins median per-close append"),
+                serial_ms,
+                parallel_ms,
+            };
+            println!(
+                "  {:<10} {:<28} serial {:>9.3} ms   parallel {:>9.3} ms",
+                result.name, result.workload, result.serial_ms, result.parallel_ms
+            );
+            stages.push(result);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -43,6 +43,7 @@ pub const PERF_STAGES: &[&str] = &[
     "fault_storm",
     "serve_ingest",
     "checkpoint",
+    "checkpoint_close",
 ];
 
 use odflow::experiment::{run_scenario, ExperimentConfig, ScenarioRun};

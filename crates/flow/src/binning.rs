@@ -180,6 +180,36 @@ impl OdBinner {
         }
     }
 
+    /// Records accepted per bin, in bin order.
+    pub(crate) fn bin_records(&self) -> &[u64] {
+        &self.bin_records
+    }
+
+    /// Snapshots one bin's rows, record count, and sorted distinct sets —
+    /// the per-bin slice of [`Self::export_state`], or `None` outside the
+    /// window.
+    pub(crate) fn export_bin(&self, bin: usize) -> Option<BinState> {
+        if bin >= self.num_bins {
+            return None;
+        }
+        let cells = bin * self.num_od..(bin + 1) * self.num_od;
+        let distinct = self.distinct[cells.clone()]
+            .iter()
+            .map(|set| {
+                let mut keys: Vec<FlowKey> = set.iter().copied().collect();
+                keys.sort_unstable();
+                keys
+            })
+            .collect();
+        Some(BinState {
+            records: self.bin_records[bin],
+            bytes: self.bytes[cells.clone()].to_vec(),
+            packets: self.packets[cells.clone()].to_vec(),
+            flows: self.flows[cells].to_vec(),
+            distinct,
+        })
+    }
+
     /// Replaces the accumulation state with a snapshot taken from a binner
     /// of identical geometry. The distinct sets are rebuilt by insertion —
     /// set membership is all [`Self::push`] ever consults, so restored
@@ -258,6 +288,37 @@ pub(crate) struct BinnerState {
     pub(crate) distinct: Vec<Vec<FlowKey>>,
     pub(crate) bin_records: Vec<u64>,
     pub(crate) records_accepted: u64,
+}
+
+/// One bin's slice of the accumulation state: its `od`-long byte, packet
+/// and flow rows, its record count, and each cell's distinct 5-tuples in
+/// sorted (canonical) order. Produced by
+/// [`BinShard::export_bin`](crate::BinShard::export_bin) and applied with
+/// [`ShardState::restore_bin`](crate::ShardState::restore_bin) — the unit
+/// an incremental checkpoint persists when a bin changes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BinState {
+    /// Records accepted into the bin.
+    pub records: u64,
+    /// Byte sums, one per OD pair.
+    pub bytes: Vec<f64>,
+    /// Packet sums, one per OD pair.
+    pub packets: Vec<f64>,
+    /// Distinct-flow counts, one per OD pair.
+    pub flows: Vec<f64>,
+    /// Distinct 5-tuples per OD cell, each sorted ascending.
+    pub distinct: Vec<Vec<FlowKey>>,
+}
+
+impl BinState {
+    /// `true` when all four per-cell vectors are `od` long.
+    #[must_use]
+    pub fn has_width(&self, od: usize) -> bool {
+        self.bytes.len() == od
+            && self.packets.len() == od
+            && self.flows.len() == od
+            && self.distinct.len() == od
+    }
 }
 
 #[cfg(test)]

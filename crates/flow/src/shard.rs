@@ -27,7 +27,7 @@
 //! The shard *grain* (bins per shard) is fixed by the engine, never derived
 //! from the thread count; oversubscribed pools simply leave shards queued.
 
-use crate::binning::{BinnerState, OdBinner};
+use crate::binning::{BinState, BinnerState, OdBinner};
 use crate::error::{FlowError, Result};
 use crate::key::FlowKey;
 use crate::matrix::{TrafficMatrix, TrafficMatrixSet, TrafficType};
@@ -132,6 +132,20 @@ impl BinShard {
         self.binner.bin_record_count(bin.checked_sub(self.first_bin)?)
     }
 
+    /// Records accepted per owned bin, in bin order (index 0 is global
+    /// bin [`Self::bins`]`.start`).
+    pub fn bin_records(&self) -> &[u64] {
+        self.binner.bin_records()
+    }
+
+    /// Snapshots **global** bin `bin` alone — its rows, record count and
+    /// sorted distinct sets — or `None` when this shard does not own it.
+    /// The per-bin counterpart of [`Self::export_state`]: an incremental
+    /// checkpoint persists only the bins whose record count changed.
+    pub fn export_bin(&self, bin: usize) -> Option<BinState> {
+        self.binner.export_bin(bin.checked_sub(self.first_bin)?)
+    }
+
     /// Finalizes a *full-window* shard into the traffic matrices — the
     /// serial pipeline's endgame. Multi-shard engines use
     /// [`ShardedIngest::merge`] instead, which concatenates without
@@ -192,7 +206,7 @@ impl BinShard {
 /// per-bin record counts, and every shard-side statistic. Produced by
 /// [`BinShard::export_state`] and consumed by [`BinShard::restore_state`];
 /// the serve layer's checkpoint codec persists it across process crashes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardState {
     /// Row-major `bin x od` byte sums.
     pub bytes: Vec<f64>,
@@ -212,6 +226,74 @@ pub struct ShardState {
     pub resolution: ResolutionStats,
     /// Records dropped as outside the global window.
     pub dropped_out_of_window: u64,
+}
+
+impl ShardState {
+    /// Assembles the cell vectors of a window from every bin's state, in
+    /// bin order, with zeroed totals and statistics — the inverse of
+    /// exporting each bin with [`BinShard::export_bin`].
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::Codec`] when a bin is not `num_od` cells wide.
+    pub fn from_bins(num_od: usize, bins: Vec<BinState>) -> Result<ShardState> {
+        if let Some(bin) = bins.iter().position(|b| !b.has_width(num_od)) {
+            return Err(bin_width_error(bin, num_od));
+        }
+        // Every bin holds `num_od` cells, so this is bounded by the input.
+        let cells = bins.len() * num_od;
+        let mut state = ShardState {
+            bytes: Vec::with_capacity(cells),
+            packets: Vec::with_capacity(cells),
+            flows: Vec::with_capacity(cells),
+            distinct: Vec::with_capacity(cells),
+            bin_records: Vec::with_capacity(bins.len()),
+            ..ShardState::default()
+        };
+        for b in bins {
+            state.bytes.extend_from_slice(&b.bytes);
+            state.packets.extend_from_slice(&b.packets);
+            state.flows.extend_from_slice(&b.flows);
+            state.distinct.extend(b.distinct);
+            state.bin_records.push(b.records);
+        }
+        Ok(state)
+    }
+
+    /// Number of OD cells per bin (0 for a window without bins).
+    pub fn num_od(&self) -> usize {
+        self.bytes.len().checked_div(self.bin_records.len()).unwrap_or(0)
+    }
+
+    /// Overwrites bin `bin` with `state`: its rows, distinct sets and
+    /// record count. Window totals (`records_accepted`, resolution, drops)
+    /// are left to the caller, which persists them separately.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::Codec`] when `bin` is outside the window or `state` is
+    /// not [`Self::num_od`] cells wide; the snapshot is then untouched.
+    pub fn restore_bin(&mut self, bin: usize, state: BinState) -> Result<()> {
+        let od = self.num_od();
+        if bin >= self.bin_records.len() || !state.has_width(od) {
+            return Err(bin_width_error(bin, od));
+        }
+        let cells = bin * od..(bin + 1) * od;
+        self.bytes[cells.clone()].copy_from_slice(&state.bytes);
+        self.packets[cells.clone()].copy_from_slice(&state.packets);
+        self.flows[cells.clone()].copy_from_slice(&state.flows);
+        for (slot, keys) in self.distinct[cells].iter_mut().zip(state.distinct) {
+            *slot = keys;
+        }
+        self.bin_records[bin] = state.records;
+        Ok(())
+    }
+}
+
+fn bin_width_error(bin: usize, od: usize) -> FlowError {
+    FlowError::Codec {
+        reason: format!("bin {bin} is outside the window or not {od} OD cells wide"),
+    }
 }
 
 /// Everything merged out of a sharded ingest run.
@@ -921,6 +1003,54 @@ mod tests {
         // Wrong-geometry restore is rejected, not absorbed.
         let mut narrow = engine.make_shard(0..2).unwrap();
         assert!(matches!(narrow.restore_state(&snap), Err(FlowError::Codec { .. })));
+    }
+
+    #[test]
+    fn per_bin_export_reassembles_the_full_snapshot() {
+        let num_bins = 6;
+        let (_, plan, engine, _) = setup(num_bins);
+        let stream = mixed_stream(&plan, num_bins);
+        let (head, tail) = stream.split_at(stream.len() / 2);
+        let mut live = engine.make_shard(0..num_bins).unwrap();
+        for r in head {
+            live.push_sampled_record(*r).unwrap();
+        }
+        let mut snap = live.export_state();
+        let od = snap.num_od();
+        assert_eq!(od, 121);
+        let bins: Vec<BinState> = (0..num_bins).map(|b| live.export_bin(b).unwrap()).collect();
+        assert!(live.export_bin(num_bins).is_none());
+        let rebuilt = ShardState::from_bins(od, bins).unwrap();
+        assert_eq!(rebuilt.bytes, snap.bytes);
+        assert_eq!(rebuilt.flows, snap.flows);
+        assert_eq!(rebuilt.distinct, snap.distinct);
+        assert_eq!(rebuilt.bin_records, snap.bin_records);
+        assert_eq!(live.bin_records(), snap.bin_records.as_slice());
+
+        // Patching only the bins the tail changed reproduces the final
+        // snapshot's cells exactly.
+        let before = snap.bin_records.clone();
+        for r in tail {
+            live.push_sampled_record(*r).unwrap();
+        }
+        for (b, (&now, &then)) in live.bin_records().iter().zip(&before).enumerate() {
+            if now != then {
+                snap.restore_bin(b, live.export_bin(b).unwrap()).unwrap();
+            }
+        }
+        let full = live.export_state();
+        assert_eq!(snap.bytes, full.bytes);
+        assert_eq!(snap.packets, full.packets);
+        assert_eq!(snap.distinct, full.distinct);
+        assert_eq!(snap.bin_records, full.bin_records);
+
+        // A bin outside the window, or of the wrong width, is rejected.
+        let one = live.export_bin(0).unwrap();
+        assert!(snap.restore_bin(num_bins, one.clone()).is_err());
+        let mut narrow = one;
+        narrow.bytes.pop();
+        assert!(snap.restore_bin(0, narrow.clone()).is_err());
+        assert!(ShardState::from_bins(od, vec![narrow]).is_err());
     }
 
     #[test]

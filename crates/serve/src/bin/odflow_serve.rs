@@ -88,7 +88,7 @@ fn real_main() -> Result<(), Box<dyn std::error::Error>> {
         for r in &recoveries {
             match r.resumed_seq {
                 Some(seq) => println!(
-                    "tenant {}: resumed checkpoint generation {seq} ({} frames covered, {} slots rejected)",
+                    "tenant {}: resumed checkpoint generation {seq} ({} frames covered, {} log records rejected)",
                     r.tenant, r.frames_ingested, r.slots_rejected
                 ),
                 None => println!("tenant {}: no usable checkpoint, starting fresh", r.tenant),

@@ -196,9 +196,10 @@ pub struct TenantRecovery {
     /// The replay cursor: frames of the original stream already covered
     /// by the resumed state.
     pub frames_ingested: u64,
-    /// Checkpoint slots rejected as torn/corrupt during the scan. Greater
-    /// than zero alongside `resumed_seq: Some(..)` means recovery fell
-    /// back past a corrupt newest generation.
+    /// Checkpoint log reads or records rejected as torn/corrupt while
+    /// folding (the fold stops at the first). Greater than zero alongside
+    /// `resumed_seq: Some(..)` means recovery fell back past a corrupt
+    /// newest generation.
     pub slots_rejected: usize,
 }
 
@@ -246,9 +247,9 @@ struct RestartPolicy {
 
 impl Daemon {
     /// Builds every tenant pipeline and binds the configured sockets.
-    /// With a `checkpoint_dir`, stale checkpoint generations are cleared
-    /// (a fresh bind must never resume someone else's state) and every
-    /// bin close writes a new one.
+    /// With a `checkpoint_dir`, stale checkpoint logs are cleared (a fresh
+    /// bind must never resume someone else's state) and every bin close
+    /// writes a new generation.
     ///
     /// # Errors
     ///
@@ -260,9 +261,11 @@ impl Daemon {
         Ok(Self::bind_inner(config, false)?.0)
     }
 
-    /// Binds like [`Self::bind`], but resumes every tenant from its
-    /// newest **valid** checkpoint generation in `dir` — the crash-safe
-    /// restart path. A tenant with no usable generation starts fresh.
+    /// Binds like [`Self::bind`], but resumes every tenant from the newest
+    /// **valid** generation of its checkpoint log in `dir` — the
+    /// crash-safe restart path. A tenant with no usable generation starts
+    /// fresh; either way its first generation rewrites the log as a base
+    /// record.
     /// Replaying each tenant's original frame stream from its
     /// [`TenantRecovery::frames_ingested`] cursor onward reproduces the
     /// uninterrupted run bit for bit.
@@ -271,8 +274,9 @@ impl Daemon {
     ///
     /// As [`Self::bind`]; additionally [`ServeError::Config`] when a
     /// structurally valid checkpoint disagrees with the tenant's window
-    /// configuration. Corrupt/torn checkpoint files are *not* errors —
-    /// they are skipped and reported in [`TenantRecovery::slots_rejected`].
+    /// configuration. Corrupt/torn checkpoint records are *not* errors —
+    /// the fold stops before them and they are reported in
+    /// [`TenantRecovery::slots_rejected`].
     pub fn recover(
         mut config: ServeConfig,
         dir: &Path,
@@ -744,8 +748,10 @@ fn serve_metrics_client(mut stream: TcpStream, control: &Control) {
 /// The worker owns its pipeline outright, so a panic can corrupt nothing
 /// beyond that pipeline — it is dropped mid-unwind and a successor is
 /// rebuilt from the tenant's newest checkpoint (or fresh), against the
-/// *surviving* queue, sharing the predecessor's counter block. Other
-/// tenants never notice. Policy:
+/// *surviving* queue, sharing the predecessor's counter block. With a
+/// checkpoint store, the frames consumed since the newest durable
+/// generation are kept ([`Redo`]) and fed to the successor first, so a
+/// restart loses no frame. Other tenants never notice. Policy:
 ///
 /// * an injected [`CrashKind::Kill`] is simulated process death — report
 ///   [`TenantEnd::Killed`] with no flush and no restart;
@@ -770,13 +776,15 @@ impl Supervisor<'_> {
     fn run(self, mut pipeline: TenantPipeline) -> TenantEnd {
         let counters = pipeline.counters();
         let name = self.spec.config.name.clone();
+        let mut redo = self.store.as_ref().map(|_| Redo::new(&pipeline, self.queue.capacity()));
         let mut consecutive: u32 = 0;
         let mut attempt: u64 = 0;
         loop {
             let bins_before = TenantCounters::get(&counters.bins_closed);
             // lint:allow(no-panic-in-ingest) -- the audited supervision boundary: this is the one place worker unwinds are caught, classified, and turned into restart/quarantine policy
             let result = catch_unwind(AssertUnwindSafe(|| {
-                run_tenant_worker(pipeline, &self.queue, self.control, self.sources, self.tick)
+                let (queue, control, sources) = (&self.queue, self.control, self.sources);
+                run_tenant_worker(pipeline, redo.as_mut(), queue, control, sources, self.tick)
             }));
             let payload = match result {
                 Ok(end) => return end,
@@ -863,16 +871,96 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Tenant worker loop: dequeue, stamp latency, ingest; on queue closure
-/// (or an idle drain with no listeners left) flush and report.
+/// The frames a checkpointed tenant consumed since its newest durable
+/// generation — the suffix a restarted worker must see again, since the
+/// log it is rebuilt from does not cover them. Cleared whenever a
+/// generation becomes durable, so it holds about one bin of frames. It
+/// stops tracking (and a restart then loses those frames, as without a
+/// buffer) if it would outgrow the tenant's queue, which only happens
+/// while checkpoint writes keep failing.
+#[derive(Debug)]
+struct Redo {
+    frames: Vec<Vec<u8>>,
+    /// The replay cursor the frames follow, `None` while not tracking.
+    after: Option<u64>,
+    cap: usize,
+}
+
+impl Redo {
+    fn new(pipeline: &TenantPipeline, cap: usize) -> Redo {
+        let mut redo = Redo { frames: Vec::new(), after: None, cap };
+        redo.settle(pipeline);
+        redo
+    }
+
+    /// Forgets the frames a durable generation now covers.
+    fn settle(&mut self, pipeline: &TenantPipeline) {
+        if pipeline.is_durable() {
+            self.frames.clear();
+            self.after = Some(pipeline.frames_ingested());
+        }
+    }
+
+    /// Drops the kept frames and stops tracking until the next durable
+    /// generation.
+    fn stop(&mut self) {
+        self.frames.clear();
+        self.after = None;
+    }
+
+    /// Ingests one frame off the queue, keeping it until it is durable.
+    fn ingest(&mut self, pipeline: &mut TenantPipeline, frame: Vec<u8>) {
+        if self.after.is_some() && self.frames.len() < self.cap {
+            self.frames.push(frame);
+            if let Some(f) = self.frames.last() {
+                pipeline.ingest_frame(f);
+            }
+        } else {
+            self.stop();
+            pipeline.ingest_frame(&frame);
+        }
+        self.settle(pipeline);
+    }
+
+    /// Feeds the kept frames to a successor rebuilt from the newest
+    /// durable generation. Frames stay kept until a generation covers
+    /// them, so a successor that panics too sees them again.
+    fn replay(&mut self, pipeline: &mut TenantPipeline) {
+        if self.after != Some(pipeline.frames_ingested()) {
+            // The successor does not resume where the frames start: a
+            // panic struck after the generation covering them was written
+            // (nothing to replay), or the buffer had stopped tracking.
+            self.stop();
+            self.settle(pipeline);
+        }
+        let mut i = 0;
+        while i < self.frames.len() {
+            pipeline.ingest_frame(&self.frames[i]);
+            i += 1;
+            if pipeline.is_durable() {
+                self.frames.drain(..i);
+                self.after = Some(pipeline.frames_ingested());
+                i = 0;
+            }
+        }
+    }
+}
+
+/// Tenant worker loop: replay the restart backlog (if any), then dequeue,
+/// stamp latency, ingest; on queue closure (or an idle drain with no
+/// listeners left) flush and report.
 fn run_tenant_worker(
     mut pipeline: TenantPipeline,
+    mut redo: Option<&mut Redo>,
     queue: &BoundedQueue<QueuedFrame>,
     control: &Control,
     sources: &AtomicUsize,
     tick: Duration,
 ) -> TenantEnd {
     let counters = pipeline.counters();
+    if let Some(r) = redo.as_deref_mut() {
+        r.replay(&mut pipeline);
+    }
     loop {
         // A pause holds the worker (admission keeps filling the queue);
         // a drain overrides it so shutdown always completes.
@@ -884,7 +972,10 @@ fn run_tenant_worker(
             Pop::Item(item) => {
                 let nanos = u64::try_from(item.queued.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 control.metrics.enqueue_latency.record(nanos);
-                pipeline.ingest_frame(&item.frame);
+                match redo.as_deref_mut() {
+                    Some(r) => r.ingest(&mut pipeline, item.frame),
+                    None => pipeline.ingest_frame(&item.frame),
+                }
                 TenantCounters::set(&counters.queue_depth, queue.len() as u64);
             }
             Pop::Empty => {

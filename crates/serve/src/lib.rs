@@ -29,10 +29,11 @@
 //!    exposes ingest rates, quarantine counters, queue depths/drops, bin
 //!    lag, per-stage timings, and SPE/T² alarm counts as plain text.
 //! 5. **Crash-safe.** With a checkpoint directory configured, every bin
-//!    close persists the full per-tenant pipeline state as a versioned,
-//!    checksummed, two-generation snapshot ([`checkpoint`]);
-//!    [`Daemon::recover`] resumes from the newest valid generation
-//!    bit-identically, workers panic-restart under supervision, and
+//!    close appends the bins it changed to a per-tenant append-only log of
+//!    versioned, checksummed generation records ([`checkpoint`]);
+//!    [`Daemon::recover`] folds the log and resumes from the newest valid
+//!    generation bit-identically, workers panic-restart under supervision
+//!    without losing the frames consumed since that generation, and
 //!    persistently panicking tenants are quarantined without touching
 //!    their neighbours.
 
@@ -48,8 +49,9 @@ pub mod tenant;
 pub mod wire;
 
 pub use checkpoint::{
-    decode_state, encode_state, CheckpointError, CheckpointStore, CrashKind, CrashPayload,
-    CrashPoint, CrashSchedule, LoadOutcome, PipelineState, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    decode_generation, decode_state, encode_generation, encode_state, fold_log, CheckpointError,
+    CheckpointStore, CrashKind, CrashPayload, CrashPoint, CrashSchedule, DetectorDelta, Generation,
+    GenerationHead, LoadOutcome, LogFold, PipelineState, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
 pub use daemon::{
     Daemon, DaemonHandle, DaemonReport, ServeConfig, TenantEnd, TenantRecovery, TenantSpec,

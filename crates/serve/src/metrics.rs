@@ -100,7 +100,8 @@ pub struct TenantCounters {
     /// Flow records decoded and pushed toward the binner.
     pub records_decoded: AtomicU64,
     /// Records the shard could not place (resolver failures beyond the
-    /// quiet out-of-window accounting).
+    /// quiet out-of-window accounting), detector scoring failures, and
+    /// degenerate training fits.
     pub ingest_errors: AtomicU64,
     /// Flows the exporter sequence tracker inferred as lost upstream.
     pub exporter_lost_flows: AtomicU64,
@@ -126,6 +127,14 @@ pub struct TenantCounters {
     pub detect_nanos: AtomicU64,
     /// Checkpoint generations durably written.
     pub checkpoints: AtomicU64,
+    /// Checkpoint generations that failed to persist (the next one is
+    /// then written as a base record).
+    pub checkpoint_write_errors: AtomicU64,
+    /// Nanoseconds spent building, encoding and persisting checkpoint
+    /// generations.
+    pub checkpoint_nanos: AtomicU64,
+    /// Bytes of checkpoint records durably written.
+    pub checkpoint_bytes: AtomicU64,
     /// Worker restarts after a contained panic.
     pub restarts: AtomicU64,
     /// 1 once the tenant was quarantined for panicking persistently
@@ -260,6 +269,9 @@ impl ServeMetrics {
             line("ingest_nanos_total", g(&c.ingest_nanos));
             line("detect_nanos_total", g(&c.detect_nanos));
             line("checkpoints_total", g(&c.checkpoints));
+            line("checkpoint_write_errors_total", g(&c.checkpoint_write_errors));
+            line("checkpoint_nanos_total", g(&c.checkpoint_nanos));
+            line("checkpoint_bytes_total", g(&c.checkpoint_bytes));
             line("restarts_total", g(&c.restarts));
             line("quarantined", g(&c.quarantined));
         }
@@ -307,6 +319,11 @@ mod tests {
         assert!(page.contains("odflow_serve_tenant_frames_offered_total{tenant=\"t0\"} 99"));
         assert!(page.contains("odflow_serve_tenant_frames_offered_total{tenant=\"edge\"} 0"));
         assert!(page.contains("odflow_serve_tenant_bin_lag{tenant=\"edge\"} 0"));
+        for metric in ["checkpoint_write_errors", "checkpoint_nanos", "checkpoint_bytes"] {
+            assert!(
+                page.contains(&format!("odflow_serve_tenant_{metric}_total{{tenant=\"t0\"}} 0"))
+            );
+        }
         assert!(m.tenant(2).is_none());
     }
 }

@@ -16,7 +16,10 @@
 //! endgame as batch `run_scenario`, so daemon and batch verdicts are
 //! directly comparable.
 
-use crate::checkpoint::{self, CheckpointStore, CrashPoint, CrashSchedule, PipelineState};
+use crate::checkpoint::{
+    self, encode_generation, encode_state, CheckpointStore, CrashPoint, CrashSchedule, Generation,
+    GenerationHead, LogMark, PipelineState,
+};
 use crate::metrics::{monotonic_now, TenantCounters};
 use crate::ServeError;
 use odflow_flow::netflow::decode_datagram_lossy;
@@ -121,6 +124,14 @@ pub struct TenantPipeline {
     ckpt_seq: u64,
     /// Checkpoint destination; `None` disables checkpointing.
     store: Option<CheckpointStore>,
+    /// What the newest generation in `store` covered, so the next one
+    /// appends only what changed. `None` — no store, nothing written yet
+    /// since the store was attached, or the last write failed — makes the
+    /// next generation a base record that replaces the log.
+    logged: Option<LogMark>,
+    /// The replay cursor of the newest durable generation (or of the
+    /// restored snapshot): frames past it are not yet persisted.
+    durable_cursor: u64,
 }
 
 impl TenantPipeline {
@@ -151,6 +162,8 @@ impl TenantPipeline {
             frames_ingested: 0,
             ckpt_seq: 0,
             store: None,
+            logged: None,
+            durable_cursor: 0,
         })
     }
 
@@ -212,13 +225,17 @@ impl TenantPipeline {
             frames_ingested: state.frames_ingested,
             ckpt_seq: state.seq + 1,
             store: None,
+            logged: None,
+            durable_cursor: state.frames_ingested,
         })
     }
 
-    /// Enables checkpointing: every bin close now snapshots the full
-    /// pipeline state into `store`.
+    /// Enables checkpointing: the next bin close replaces the log in
+    /// `store` with a base record of the full pipeline state, and every
+    /// later close appends the bins it changed.
     pub fn set_checkpoint_store(&mut self, store: CheckpointStore) {
         self.store = Some(store);
+        self.logged = None;
     }
 
     /// Replaces the shared counter block — the supervisor threading one
@@ -231,6 +248,13 @@ impl TenantPipeline {
     #[must_use]
     pub fn frames_ingested(&self) -> u64 {
         self.frames_ingested
+    }
+
+    /// `true` when every frame consumed so far is covered by a durable
+    /// checkpoint generation (or by the snapshot this pipeline was
+    /// restored from) — nothing would be lost by a restart now.
+    pub(crate) fn is_durable(&self) -> bool {
+        self.durable_cursor == self.frames_ingested
     }
 
     /// Snapshots the complete pipeline state at the current consistent
@@ -318,36 +342,80 @@ impl TenantPipeline {
     }
 
     /// Persists one checkpoint generation covering everything up to and
-    /// including the frame that just closed ≥1 bin. Write failures are
-    /// counted, never fatal — the previous generation stays intact and
-    /// the pipeline keeps serving.
+    /// including the frame that just closed ≥1 bin: a delta appended to
+    /// the log, or a base record replacing it when there is no durable
+    /// generation to extend. Write failures are counted, never fatal —
+    /// the log keeps its previous generation, the next generation is a
+    /// base record, and the pipeline keeps serving.
     fn write_checkpoint(&mut self) {
         if self.store.is_none() && self.config.crash.is_none() {
             return;
         }
         let bin = self.next_close.saturating_sub(1);
         self.maybe_crash(CrashPoint::BeforeCheckpoint(bin));
-        if self.store.is_some() {
-            // A torn-write injection surfaces a truncated committed slot
-            // and then dies — the shape recovery must reject by checksum.
+        if let Some(store) = &self.store {
+            let t0 = monotonic_now();
+            let (record, mark) = self.next_generation();
+            // A torn-write injection appends half the record and then
+            // dies — the shape recovery must reject by length/checksum.
             let torn =
                 self.config.crash.as_ref().and_then(|c| c.fire(CrashPoint::TornCheckpoint(bin)));
             if let Some(kind) = torn {
-                let state = self.export_state();
-                let _ = self.store.as_ref().map(|s| s.write_torn(&state));
+                let _ = store.append_torn(&record);
                 checkpoint::trigger_crash(CrashPoint::TornCheckpoint(bin), kind);
             }
-            let state = self.export_state();
-            match self.store.as_ref().map(|s| s.write(&state)) {
-                Some(Ok(())) => {
-                    self.ckpt_seq += 1;
-                    TenantCounters::add(&self.counters.checkpoints, 1);
-                }
-                Some(Err(_)) => TenantCounters::add(&self.counters.ingest_errors, 1),
-                None => {}
+            let written =
+                if self.logged.is_some() { store.append(&record) } else { store.replace(&record) };
+            if written.is_ok() {
+                self.ckpt_seq += 1;
+                self.logged = Some(mark);
+                self.durable_cursor = self.frames_ingested;
+                TenantCounters::add(&self.counters.checkpoints, 1);
+                TenantCounters::add(&self.counters.checkpoint_bytes, record.len() as u64);
+            } else {
+                self.logged = None;
+                TenantCounters::add(&self.counters.checkpoint_write_errors, 1);
             }
+            TenantCounters::add(&self.counters.checkpoint_nanos, elapsed_nanos(t0));
         }
         self.maybe_crash(CrashPoint::AfterCheckpoint(bin));
+    }
+
+    /// Encodes the next checkpoint generation — a delta against
+    /// `self.logged`, or a base record of the full state when there is
+    /// none — and the mark it leaves once durable.
+    fn next_generation(&self) -> (Vec<u8>, LogMark) {
+        let bin_records = self.shard.bin_records();
+        let mark = LogMark::new(bin_records, self.live_verdicts.len(), self.detector.as_ref());
+        let Some(prev) = &self.logged else {
+            return (encode_state(&self.export_state()), mark);
+        };
+        let verdicts = prev.new_verdicts(&self.live_verdicts);
+        // The shard covers the whole window, so shard and window bin
+        // indices coincide.
+        let generation = Generation {
+            base: false,
+            head: GenerationHead {
+                seq: self.ckpt_seq,
+                frames_ingested: self.frames_ingested,
+                next_close: self.next_close as u64,
+                watermark_secs: self.watermark_secs,
+                num_bins: bin_records.len() as u64,
+                num_od: self.shard.bin_row(0, TrafficType::Bytes).map_or(0, <[f64]>::len) as u64,
+                records_accepted: self.shard.records_accepted(),
+                resolution: self.shard.resolution_stats(),
+                dropped_out_of_window: self.shard.dropped_out_of_window(),
+                quarantine: self.quality.quarantine,
+            },
+            exporters: self.quality.exporters.export_state(),
+            bins: prev
+                .changed_bins(bin_records)
+                .filter_map(|b| Some((b as u64, self.shard.export_bin(b)?)))
+                .collect(),
+            verdicts: verdicts.to_vec(),
+            detector: prev.detector_delta(self.detector.as_ref(), verdicts),
+        };
+        (encode_generation(&generation), mark)
     }
 
     /// Raises the watermark and closes every bin whose end it has passed.
@@ -431,6 +499,9 @@ impl TenantPipeline {
             TenantCounters::add(&self.counters.ingest_errors, 1);
         }
         self.detector = fitted;
+        if let Some(mark) = self.logged.as_mut() {
+            mark.forget_detector();
+        }
     }
 
     /// Drains the pipeline: closes every remaining bin, merges the shard,
@@ -583,6 +654,81 @@ mod tests {
         let scenario = Scenario::paper_window(17, NUM_BINS).unwrap();
         let tenant = tenant_over(&scenario, 0);
         assert!(matches!(tenant.flush(), Err(ServeError::Flow(_))));
+    }
+
+    /// After every generation, folding the log reproduces the pipeline's
+    /// full snapshot byte for byte — including a bin that takes late
+    /// records after it was closed and checkpointed, and with the
+    /// detector carried as rows, fitted, and refit.
+    #[test]
+    fn log_fold_equals_export_after_every_generation() {
+        use crate::checkpoint::{decode_generation, fold_log, DetectorDelta};
+        let scenario = Scenario::paper_window(23, NUM_BINS).unwrap();
+        let generator = scenario.generator();
+        let mut seqs = vec![0u32; scenario.topology.num_pops()];
+        let mut per_bin: Vec<Vec<Vec<u8>>> =
+            (0..NUM_BINS).map(|b| generator.frames_for_bin(b, &mut seqs)).collect();
+        // One of bin 2's frames arrives only after bin 5's first frame has
+        // closed bin 4: bin 2 was closed and checkpointed long before.
+        let late = per_bin[2].pop().unwrap();
+        per_bin[5].insert(1, late);
+        let frames: Vec<Vec<u8>> = per_bin.into_iter().flatten().collect();
+
+        for refit_every in [0, 2] {
+            let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                .join(format!("../../target/tmp/tenant_log_fold_{refit_every}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = CheckpointStore::new(&dir, "t0");
+            let mut tenant = tenant_over(&scenario, 6);
+            tenant.config.refit_every = refit_every;
+            tenant.set_checkpoint_store(store.clone());
+            let counters = tenant.counters();
+            let mut generations = 0;
+            for f in &frames {
+                tenant.ingest_frame(f);
+                let written = TenantCounters::get(&counters.checkpoints);
+                if written == generations {
+                    continue;
+                }
+                generations = written;
+                let loaded = store.load_newest();
+                assert!(loaded.rejected.is_empty());
+                let folded = loaded.state.unwrap();
+                assert_eq!(folded.seq, written - 1);
+                let mut want = tenant.export_state();
+                want.seq = folded.seq;
+                assert_eq!(
+                    encode_state(&folded),
+                    encode_state(&want),
+                    "refit_every {refit_every}, generation {}",
+                    folded.seq
+                );
+            }
+            assert_eq!(generations, NUM_BINS as u64 - 1, "one generation per watermark close");
+            assert_eq!(TenantCounters::get(&counters.checkpoint_write_errors), 0);
+
+            let log = std::fs::read(store.log_path()).unwrap();
+            assert_eq!(TenantCounters::get(&counters.checkpoint_bytes), log.len() as u64);
+            let fold = fold_log(&log);
+            let records: Vec<_> =
+                fold.spans.iter().map(|r| decode_generation(&log[r.clone()]).unwrap().0).collect();
+            assert!(records[0].base && records[1..].iter().all(|g| !g.base));
+            // A delta carries the bins its close touched: the bin just
+            // closed and the one its closing frame opened — plus bin 2,
+            // re-sent once after its late records.
+            let carried = |g: &Generation| -> Vec<u64> { g.bins.iter().map(|(b, _)| *b).collect() };
+            assert_eq!(carried(&records[3]), vec![3, 4]);
+            assert_eq!(carried(&records[5]), vec![2, 5, 6]);
+            let fulls = records.iter().filter(|g| matches!(g.detector, DetectorDelta::Full(_)));
+            let rows = records.iter().filter(|g| matches!(g.detector, DetectorDelta::Rows { .. }));
+            assert!(rows.count() > 0, "an unchanged model travels as window rows");
+            if refit_every == 0 {
+                assert_eq!(fulls.count(), 1, "the model travels whole only when fitted");
+            } else {
+                assert!(fulls.count() > 1, "refits send the model again");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! bit — and to the batch `run_scenario` path at `ODFLOW_THREADS` 1
 //! and 4. Corruption of the newest checkpoint generation must fall back
 //! to the previous one, and a persistently panicking tenant must be
-//! quarantined without disturbing its neighbors.
+//! quarantined without disturbing its neighbors. A worker restarted
+//! after a panic keeps its checkpoint log recoverable: a later kill still
+//! recovers byte-identical.
 //!
 //! The harness is fully deterministic: crash points are injected by
 //! [`CrashSchedule`], frames are pre-rendered once and replayed over
@@ -15,9 +17,9 @@ use odflow::experiment::{run_scenario, ExperimentConfig};
 use odflow_gen::Scenario;
 use odflow_serve::wire;
 use odflow_serve::{
-    replay_frames, CheckpointStore, CrashPoint, CrashSchedule, Daemon, DaemonReport, LoadGenConfig,
-    ServeConfig, TenantConfig, TenantEnd, TenantFlush, TenantRecovery, TenantSpec, Transport,
-    CONTROL_TENANT,
+    decode_generation, fold_log, replay_frames, CheckpointStore, CrashKind, CrashPoint,
+    CrashSchedule, Daemon, DaemonReport, LoadGenConfig, ServeConfig, TenantConfig, TenantEnd,
+    TenantFlush, TenantRecovery, TenantSpec, Transport, CONTROL_TENANT,
 };
 use odflow_subspace::{Diagnosis, StatisticKind};
 use std::io::Write;
@@ -30,6 +32,9 @@ const SEED: u64 = 20040519;
 /// of prior checkpoint generations exists (one per closed bin), early
 /// enough that a meaningful tail remains to replay after recovery.
 const CRASH_BIN: usize = 27;
+/// Where the restart-continuity test panics a worker, well before the
+/// kill at [`CRASH_BIN`].
+const RESTART_BIN: usize = 20;
 
 /// The scenario, its pre-rendered frame stream, and one uninterrupted
 /// baseline daemon run — shared across every test in the suite. The
@@ -241,6 +246,11 @@ fn kill_and_recover(
     let cursor = usize::try_from(recovery.frames_ingested).unwrap();
     assert!(cursor <= frames.len(), "cursor {cursor} beyond the stream");
     let report = drive_daemon(daemon, &frames[cursor..]);
+    // Any rejected tail is gone: the recovered tenant's first generation
+    // rewrote the log as a base record.
+    let log = std::fs::read(CheckpointStore::new(&dir, "abilene").log_path()).unwrap();
+    let fold = fold_log(&log);
+    assert!(fold.error.is_none(), "{tag}: the log folds cleanly after recovery: {:?}", fold.error);
     (recovery, report)
 }
 
@@ -321,15 +331,16 @@ fn corrupted_newest_generation_recovers_from_previous_one() {
         kill_report.tenants[0]
     );
 
-    // Find the newest generation on disk and flip one payload byte.
+    // Find the newest generation's record in the log and flip one
+    // payload byte in it.
     let store = CheckpointStore::new(&dir, "abilene");
     let newest = store.load_newest().state.expect("a valid newest generation exists");
     assert_eq!(newest.seq, CRASH_BIN as u64);
-    let victim = &store.slot_paths()[(newest.seq % 2) as usize];
-    let mut bytes = std::fs::read(victim).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    std::fs::write(victim, &bytes).unwrap();
+    let log = store.log_path();
+    let mut bytes = std::fs::read(&log).unwrap();
+    let record = fold_log(&bytes).spans.pop().expect("the log holds records");
+    bytes[(record.start + record.end) / 2] ^= 0x01;
+    std::fs::write(&log, &bytes).unwrap();
 
     let (daemon, mut recoveries) = Daemon::recover(
         ServeConfig {
@@ -382,6 +393,69 @@ fn panicking_worker_restarts_from_checkpoint_and_stays_byte_identical() {
     assert_eq!(get(&counters.restarts), 1, "exactly one supervised restart");
     assert_eq!(get(&counters.quarantined), 0, "a restarted tenant is not quarantined");
     assert!(get(&counters.checkpoints) > 0, "checkpoints were written");
+}
+
+/// A worker panics at a bin close, with a bin's worth of frames consumed
+/// since its newest generation. The supervisor rebuilds it from the log,
+/// feeds it those frames again, and its first generation rewrites the log
+/// as a base record that later closes append to. A kill after that still
+/// recovers from the log byte-identical to the uninterrupted run — and so
+/// to batch `run_scenario` at threads 1 and 4, through the baseline the
+/// kill-point test pins.
+#[test]
+fn restarted_worker_keeps_appending_and_a_later_kill_recovers_byte_identical() {
+    let (scenario, frames, base) = shared();
+    let baseline = expect_flushed(&base.tenants[0]);
+    let dir = ckpt_dir("restart_then_kill");
+    let schedule = CrashSchedule::one_shots(&[
+        (CrashPoint::BeforeBinClose(RESTART_BIN), CrashKind::Panic),
+        (CrashPoint::AfterCheckpoint(CRASH_BIN), CrashKind::Kill),
+    ]);
+    let daemon = Daemon::bind(ServeConfig {
+        tcp_bind: Some("127.0.0.1:0".to_owned()),
+        tenants: vec![abilene_spec(scenario, Some(schedule))],
+        checkpoint_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let handle = daemon.handle();
+    let report = drive_daemon(daemon, frames);
+    assert!(
+        matches!(report.tenants[0], TenantEnd::Killed { point, .. } if point == CrashPoint::AfterCheckpoint(CRASH_BIN)),
+        "expected the kill, got {:?}",
+        report.tenants[0]
+    );
+    let counters = handle.tenant_counters(0).unwrap();
+    let get = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::SeqCst);
+    assert_eq!(get(&counters.restarts), 1, "exactly one supervised restart");
+    assert_eq!(get(&counters.checkpoint_write_errors), 0);
+
+    // The successor's first generation replaced the log with a base
+    // record; every close after it appended one delta.
+    let log = std::fs::read(CheckpointStore::new(&dir, "abilene").log_path()).unwrap();
+    let fold = fold_log(&log);
+    assert!(fold.error.is_none(), "the log folds cleanly: {:?}", fold.error);
+    let records: Vec<_> =
+        fold.spans.iter().map(|r| decode_generation(&log[r.clone()]).unwrap().0).collect();
+    assert_eq!(records.len(), CRASH_BIN - RESTART_BIN + 1);
+    assert!(records[0].base && records[0].head.seq == RESTART_BIN as u64);
+    assert!(records[1..].iter().all(|g| !g.base));
+
+    let (daemon, mut recoveries) = Daemon::recover(
+        ServeConfig {
+            tcp_bind: Some("127.0.0.1:0".to_owned()),
+            tenants: vec![abilene_spec(scenario, None)],
+            ..ServeConfig::default()
+        },
+        &dir,
+    )
+    .unwrap();
+    let recovery = recoveries.remove(0);
+    assert_eq!(recovery.resumed_seq, Some(CRASH_BIN as u64));
+    assert_eq!(recovery.slots_rejected, 0);
+    let cursor = usize::try_from(recovery.frames_ingested).unwrap();
+    let report = drive_daemon(daemon, &frames[cursor..]);
+    assert_flush_equal("restart then kill", baseline, expect_flushed(&report.tenants[0]));
 }
 
 /// A tenant that panics every time it reaches the same bin close makes

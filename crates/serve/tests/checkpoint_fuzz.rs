@@ -1,14 +1,20 @@
-//! Property tests for the checkpoint codec: decoding is total (arbitrary
-//! byte soup and bit-flipped valid checkpoints never panic — they are
-//! rejected with the right error class) and encoding is a bijection on
-//! valid states (byte-level round-trip identity for every component).
+//! Property tests for the checkpoint codec and the generation log:
+//! decoding is total (arbitrary byte soup and bit-flipped valid records
+//! never panic — they are rejected with the right error class), encoding
+//! is a bijection on valid states and records (byte-level round-trip
+//! identity for every component), and folding a log of a base record
+//! plus deltas reproduces the state they describe — falling back to the
+//! generation before any flipped or torn record.
 
 use odflow_flow::{
-    ExporterSeqState, FlowKey, Protocol, QuarantineStats, ResolutionStats, ShardState,
+    BinState, ExporterSeqState, FlowKey, Protocol, QuarantineStats, ResolutionStats, ShardState,
 };
 use odflow_linalg::{Centering, Matrix};
 use odflow_net::IpAddr;
-use odflow_serve::{decode_state, encode_state, CheckpointError, PipelineState};
+use odflow_serve::{
+    decode_generation, decode_state, encode_generation, encode_state, fold_log, CheckpointError,
+    DetectorDelta, Generation, GenerationHead, PipelineState, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+};
 use odflow_subspace::{
     DegradedReason, Detection, DetectorState, EigenflowDecomposition, ModelState, StatisticKind,
     StreamVerdict, SubspaceConfig,
@@ -193,6 +199,195 @@ fn small_detector(f: &[f64]) -> DetectorState {
     }
 }
 
+/// One bin's state, `od` cells wide.
+fn arb_bin(od: usize) -> impl Strategy<Value = BinState> {
+    (
+        any::<u64>(),
+        proptest::collection::vec(arb_f64_bits(), od),
+        proptest::collection::vec(arb_f64_bits(), od),
+        proptest::collection::vec(arb_f64_bits(), od),
+        proptest::collection::vec(proptest::collection::vec(arb_key(), 0..3), od),
+    )
+        .prop_map(|(records, bytes, packets, flows, distinct)| BinState {
+            records,
+            bytes,
+            packets,
+            flows,
+            distinct,
+        })
+}
+
+/// The random parts of one delta record over a `bins x od` window; the
+/// generation number follows from the log it is appended to.
+#[derive(Debug, Clone)]
+struct DeltaSpec {
+    bins: Vec<(usize, BinState)>,
+    counts: Vec<u64>,
+    exporters: Vec<(u8, ExporterSeqState)>,
+    verdicts: Vec<StreamVerdict>,
+    detector: u8,
+    det_floats: Vec<f64>,
+    rows: Vec<Vec<f64>>,
+}
+
+fn arb_delta(bins: usize, od: usize) -> impl Strategy<Value = DeltaSpec> {
+    (
+        proptest::collection::vec((0..bins, arb_bin(od)), 0..3),
+        proptest::collection::vec(any::<u64>(), 14),
+        proptest::collection::vec(arb_exporter(), 0..3),
+        proptest::collection::vec(arb_verdict(), 0..3),
+        0u8..3,
+        proptest::collection::vec(arb_f64_bits(), 16),
+        proptest::collection::vec(proptest::collection::vec(arb_f64_bits(), 2), 0..3),
+    )
+        .prop_map(|(bins, counts, exporters, verdicts, detector, det_floats, rows)| {
+            DeltaSpec { bins, counts, exporters, verdicts, detector, det_floats, rows }
+        })
+}
+
+impl DeltaSpec {
+    /// The delta record that follows `prior`.
+    fn generation(&self, prior: &PipelineState) -> Generation {
+        let c = &self.counts;
+        let detector = match (self.detector, &prior.detector) {
+            (0, _) => DetectorDelta::Absent,
+            (1, _) | (_, None) => DetectorDelta::Full(Box::new(small_detector(&self.det_floats))),
+            _ => DetectorDelta::Rows {
+                rows: self.rows.clone(),
+                since_refit: c[12] as usize,
+                next_bin: c[13] as usize,
+            },
+        };
+        Generation {
+            base: false,
+            head: GenerationHead {
+                seq: prior.seq.wrapping_add(1),
+                frames_ingested: c[0],
+                next_close: c[1],
+                watermark_secs: c[2],
+                num_bins: prior.shard.bin_records.len() as u64,
+                num_od: prior.shard.num_od() as u64,
+                records_accepted: c[3],
+                resolution: ResolutionStats {
+                    flows_total: c[4],
+                    flows_resolved: c[5],
+                    bytes_total: c[6],
+                    bytes_resolved: c[7],
+                    transit_skipped: c[8],
+                },
+                dropped_out_of_window: c[9],
+                quarantine: QuarantineStats {
+                    frames_offered: c[10],
+                    records_offered: c[11],
+                    ..QuarantineStats::default()
+                },
+            },
+            exporters: self.exporters.clone(),
+            bins: self.bins.iter().map(|(b, s)| (*b as u64, s.clone())).collect(),
+            verdicts: self.verdicts.clone(),
+            detector,
+        }
+    }
+}
+
+/// The reference fold: applies a delta to a full snapshot field by field,
+/// independently of the codec's own fold.
+fn apply_by_hand(state: &mut PipelineState, g: &Generation) {
+    let h = &g.head;
+    state.seq = h.seq;
+    state.frames_ingested = h.frames_ingested;
+    state.next_close = h.next_close;
+    state.watermark_secs = h.watermark_secs;
+    state.quarantine = h.quarantine;
+    state.exporters.clone_from(&g.exporters);
+    let s = &mut state.shard;
+    s.records_accepted = h.records_accepted;
+    s.resolution = h.resolution;
+    s.dropped_out_of_window = h.dropped_out_of_window;
+    let od = h.num_od as usize;
+    for (b, bin) in &g.bins {
+        let at = *b as usize * od;
+        s.bytes[at..at + od].copy_from_slice(&bin.bytes);
+        s.packets[at..at + od].copy_from_slice(&bin.packets);
+        s.flows[at..at + od].copy_from_slice(&bin.flows);
+        s.distinct[at..at + od].clone_from_slice(&bin.distinct);
+        s.bin_records[*b as usize] = bin.records;
+    }
+    state.live_verdicts.extend(g.verdicts.iter().cloned());
+    match &g.detector {
+        DetectorDelta::Absent => state.detector = None,
+        DetectorDelta::Full(d) => state.detector = Some(d.as_ref().clone()),
+        DetectorDelta::Rows { rows, since_refit, next_bin } => {
+            let d = state.detector.as_mut().unwrap();
+            for row in rows {
+                d.window.push(row.clone());
+                if d.window.len() > d.window_len {
+                    d.window.remove(0);
+                }
+            }
+            d.since_refit = *since_refit;
+            d.next_bin = *next_bin;
+        }
+    }
+}
+
+/// A generation log — a base snapshot plus 1–3 deltas — with each record's
+/// bytes and, per generation, the snapshot encoding the log must fold to.
+#[derive(Debug, Clone)]
+struct LogCase {
+    records: Vec<Vec<u8>>,
+    expected: Vec<Vec<u8>>,
+}
+
+impl LogCase {
+    fn bytes(&self) -> Vec<u8> {
+        self.records.concat()
+    }
+
+    /// The record holding byte `at` of the log.
+    fn record_at(&self, at: usize) -> usize {
+        let mut end = 0;
+        self.records
+            .iter()
+            .position(|r| {
+                end += r.len();
+                at < end
+            })
+            .unwrap()
+    }
+}
+
+fn arb_log() -> impl Strategy<Value = LogCase> {
+    arb_state()
+        .prop_flat_map(|base| {
+            let (bins, od) = (base.shard.bin_records.len(), base.shard.num_od());
+            (Just(base), proptest::collection::vec(arb_delta(bins, od), 1..4))
+        })
+        .prop_map(|(base, deltas)| {
+            let mut records = vec![encode_state(&base)];
+            let mut expected = vec![encode_state(&base)];
+            let mut state = base;
+            for spec in &deltas {
+                let g = spec.generation(&state);
+                records.push(encode_generation(&g));
+                apply_by_hand(&mut state, &g);
+                expected.push(encode_state(&state));
+            }
+            LogCase { records, expected }
+        })
+}
+
+fn is_typed(err: &CheckpointError) -> bool {
+    matches!(
+        err,
+        CheckpointError::Truncated { .. }
+            | CheckpointError::BadMagic
+            | CheckpointError::BadVersion(_)
+            | CheckpointError::BadChecksum { .. }
+            | CheckpointError::Corrupt(_)
+    )
+}
+
 /// Structural (not semantic) equality of two snapshots, via the
 /// canonical encoding — the codec is deterministic, so byte equality of
 /// re-encodings is component-wise identity.
@@ -214,7 +409,8 @@ proptest! {
     /// decoder paths and still must reject (checksum first).
     #[test]
     fn byte_soup_with_magic_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let mut framed = b"ODFCKPT\0\x01\x00\x00\x00".to_vec();
+        let mut framed = CHECKPOINT_MAGIC.to_vec();
+        framed.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
         framed.extend_from_slice(&bytes);
         prop_assert!(decode_state(&framed).is_err());
     }
@@ -273,5 +469,80 @@ proptest! {
         prop_assert_eq!(decoded.exporters, state.exporters);
         prop_assert_eq!(decoded.live_verdicts.len(), state.live_verdicts.len());
         prop_assert_eq!(decoded.detector.is_some(), state.detector.is_some());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Byte soup never panics the record decoder or the log fold, and
+    /// never folds into a state.
+    #[test]
+    fn log_byte_soup_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
+        prop_assert!(decode_generation(&bytes).is_err());
+        let fold = fold_log(&bytes);
+        prop_assert!(fold.state.is_none());
+        prop_assert!(fold.error.as_ref().is_none_or(is_typed));
+    }
+
+    /// encode → fold → encode is the identity: every record re-encodes to
+    /// its own bytes, and the log folds to the snapshot the deltas
+    /// describe, generation by generation.
+    #[test]
+    fn log_fold_is_the_identity(case in arb_log()) {
+        for record in &case.records {
+            let (g, used) = decode_generation(record).expect("a valid record decodes");
+            prop_assert_eq!(used, record.len());
+            prop_assert_eq!(&encode_generation(&g), record);
+        }
+        let log = case.bytes();
+        let mut prefix = Vec::new();
+        for (record, want) in case.records.iter().zip(&case.expected) {
+            prefix.extend_from_slice(record);
+            let fold = fold_log(&prefix);
+            prop_assert!(fold.error.is_none(), "unexpected {:?}", fold.error);
+            prop_assert_eq!(&encode_state(&fold.state.unwrap()), want);
+        }
+        prop_assert_eq!(fold_log(&log).spans.len(), case.records.len());
+    }
+
+    /// A single bit flip anywhere in the log is rejected with a typed
+    /// error, and the fold falls back to the generation before the
+    /// flipped record.
+    #[test]
+    fn log_bit_flips_fall_back_before_the_flipped_record(
+        case in arb_log(),
+        flip in any::<proptest::sample::Index>(),
+        bit in 0u8..8,
+    ) {
+        let mut log = case.bytes();
+        let at = flip.index(log.len());
+        log[at] ^= 1 << bit;
+        let k = case.record_at(at);
+        let fold = fold_log(&log);
+        prop_assert!(fold.error.as_ref().is_some_and(is_typed), "flip must be rejected");
+        prop_assert_eq!(fold.spans.len(), k);
+        let got = fold.state.map(|s| encode_state(&s));
+        prop_assert_eq!(got.as_ref(), k.checked_sub(1).map(|g| &case.expected[g]));
+    }
+
+    /// Truncating the log at every prefix folds exactly the complete
+    /// records before the cut; a cut inside a record is a typed error.
+    #[test]
+    fn log_truncation_at_every_prefix_folds_the_complete_records(case in arb_log()) {
+        let log = case.bytes();
+        let mut boundaries = vec![0usize];
+        for r in &case.records {
+            boundaries.push(boundaries.last().unwrap() + r.len());
+        }
+        for cut in 0..log.len() {
+            let complete = boundaries.iter().filter(|&&b| b > 0 && b <= cut).count();
+            let fold = fold_log(&log[..cut]);
+            prop_assert_eq!(fold.spans.len(), complete);
+            prop_assert_eq!(fold.error.is_some(), !boundaries.contains(&cut));
+            prop_assert!(fold.error.as_ref().is_none_or(is_typed));
+            let got = fold.state.map(|s| encode_state(&s));
+            prop_assert_eq!(got.as_ref(), complete.checked_sub(1).map(|g| &case.expected[g]));
+        }
     }
 }

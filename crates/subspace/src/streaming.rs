@@ -96,6 +96,18 @@ impl OnlineDetector {
         self.next_bin
     }
 
+    /// The refit window: recent clean observations, oldest first.
+    pub fn window(&self) -> &[Vec<f64>] {
+        &self.window
+    }
+
+    /// Clean observations folded into the window since the last fit or
+    /// refit — it grows by one per window row and resets on refit, so an
+    /// incremental checkpoint can tell appended rows from a new model.
+    pub fn since_refit(&self) -> usize {
+        self.since_refit
+    }
+
     /// Scores one observation and slides the training window.
     ///
     /// Anomalous observations are *not* folded into the refit window —
