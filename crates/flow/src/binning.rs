@@ -6,13 +6,32 @@
 //! three traffic views — bytes, packets, and *distinct* IP-flow counts — per
 //! `(5-minute bin, OD pair)` cell, and finalizes into a
 //! [`TrafficMatrixSet`].
+//!
+//! ## Bin lifecycle: open, then sealed
+//!
+//! Every bin starts **open**: its cells accept records, and each cell keeps
+//! the exact set of distinct 5-tuples behind its flow count (no sketch —
+//! cell cardinalities at Abilene scale are modest after 1% sampling).
+//! [`OdBinner::seal_bin`] closes a bin for good. Its flow counts are final,
+//! its cells' sets are cleared and their allocations handed to a spare pool
+//! that the next bin's cells reuse, and a later record for the bin fails
+//! with [`FlowError::BinSealed`] rather than being silently miscounted.
+//! Once every bin is sealed the pool is freed as well.
+//!
+//! The batch paths seal each bin as soon as it is rendered, so a shard
+//! holds about one bin of distinct sets at a time instead of its whole
+//! range. The collector daemon does not seal: its checkpoints persist each
+//! bin's sets, so they stay alive until the window is finalized.
 
 use crate::error::{FlowError, Result};
-use crate::key::FlowKey;
+use crate::key::{FlowKey, FlowKeyHashState};
 use crate::matrix::{TrafficMatrix, TrafficMatrixSet, TrafficType, BIN_SECS};
 use crate::record::FlowRecord;
 use odflow_linalg::Matrix;
 use std::collections::HashSet;
+
+/// The distinct 5-tuples of one `(bin, OD)` cell.
+type FlowKeySet = HashSet<FlowKey, FlowKeyHashState>;
 
 /// Accumulates resolved flow records into `(bin, OD)` cells.
 ///
@@ -28,10 +47,16 @@ pub struct OdBinner {
     bytes: Vec<f64>,
     packets: Vec<f64>,
     flows: Vec<f64>,
-    /// Distinct 5-tuples per open cell; drained as flow counts when a cell
-    /// can no longer receive records. Kept exact (no sketch) — cell
-    /// cardinalities at Abilene scale are modest after 1% sampling.
-    distinct: Vec<HashSet<FlowKey>>,
+    /// Distinct 5-tuples per cell; empty (and unallocated) once the cell's
+    /// bin is sealed.
+    distinct: Vec<FlowKeySet>,
+    /// Per bin: `true` once sealed.
+    sealed: Vec<bool>,
+    /// Number of bins not yet sealed.
+    open_bins: usize,
+    /// Cleared sets of sealed bins, reused by the cells of open bins.
+    spare: Vec<FlowKeySet>,
+    hash_state: FlowKeyHashState,
     /// Records accepted per bin — the raw signal behind the
     /// [`DataQuality`](crate::DataQuality) outage/masking repair.
     bin_records: Vec<u64>,
@@ -48,6 +73,18 @@ impl OdBinner {
     /// [`FlowError::InvalidBinWidth`] if `bin_secs == 0`, and
     /// [`FlowError::NoData`] if the window or OD space is empty.
     pub fn new(start_secs: u64, bin_secs: u64, num_bins: usize, num_od: usize) -> Result<Self> {
+        Self::with_hash_state(start_secs, bin_secs, num_bins, num_od, FlowKeyHashState::new())
+    }
+
+    /// [`Self::new`] with explicit hash keys for the distinct sets. Only
+    /// the sets' layout depends on them; counts and exports do not.
+    pub(crate) fn with_hash_state(
+        start_secs: u64,
+        bin_secs: u64,
+        num_bins: usize,
+        num_od: usize,
+        hash_state: FlowKeyHashState,
+    ) -> Result<Self> {
         if bin_secs == 0 {
             return Err(FlowError::InvalidBinWidth { width_secs: 0 });
         }
@@ -63,7 +100,11 @@ impl OdBinner {
             bytes: vec![0.0; cells],
             packets: vec![0.0; cells],
             flows: vec![0.0; cells],
-            distinct: vec![HashSet::new(); cells],
+            distinct: vec![HashSet::with_hasher(hash_state); cells],
+            sealed: vec![false; num_bins],
+            open_bins: num_bins,
+            spare: Vec::new(),
+            hash_state,
             bin_records: vec![0; num_bins],
             records_accepted: 0,
         })
@@ -80,11 +121,15 @@ impl OdBinner {
     ///
     /// [`FlowError::TimestampOutOfRange`] outside the window.
     pub fn bin_for(&self, ts: u64) -> Result<usize> {
-        let end = self.start_secs + self.num_bins as u64 * self.bin_secs;
+        let end = self.window_end();
         if ts < self.start_secs || ts >= end {
             return Err(FlowError::TimestampOutOfRange { ts, start: self.start_secs, end });
         }
         Ok(((ts - self.start_secs) / self.bin_secs) as usize)
+    }
+
+    fn window_end(&self) -> u64 {
+        self.start_secs + self.num_bins as u64 * self.bin_secs
     }
 
     /// Adds one OD-resolved record to its `(bin, od)` cell.
@@ -93,17 +138,28 @@ impl OdBinner {
     ///
     /// * [`FlowError::BadOdIndex`] for an OD index outside the matrix.
     /// * [`FlowError::TimestampOutOfRange`] for records outside the window.
+    /// * [`FlowError::BinSealed`] for records of a sealed bin; no cell is
+    ///   touched.
     pub fn push(&mut self, od_index: usize, record: &FlowRecord) -> Result<()> {
         if od_index >= self.num_od {
             return Err(FlowError::BadOdIndex { index: od_index, count: self.num_od });
         }
         let bin = self.bin_for(record.window_start)?;
+        if self.sealed[bin] {
+            return Err(FlowError::BinSealed { bin });
+        }
         let cell = bin * self.num_od + od_index;
         self.bytes[cell] += record.bytes as f64;
         self.packets[cell] += record.packets as f64;
+        let set = &mut self.distinct[cell];
+        if set.capacity() == 0 {
+            if let Some(spare) = self.spare.pop() {
+                *set = spare;
+            }
+        }
         // An "IP flow" in a 5-minute bin is a distinct 5-tuple: the same
         // key exported in two 1-minute windows of one bin is one flow.
-        if self.distinct[cell].insert(record.key) {
+        if set.insert(record.key) {
             self.flows[cell] += 1.0;
         }
         self.bin_records[bin] += 1;
@@ -114,6 +170,44 @@ impl OdBinner {
     /// Number of records accepted so far.
     pub fn records_accepted(&self) -> u64 {
         self.records_accepted
+    }
+
+    /// Seals bin `bin`: its counts become final, its cells' distinct sets
+    /// are cleared into the spare pool for later bins, and any further
+    /// record for it fails with [`FlowError::BinSealed`]. Sealing the last
+    /// open bin frees the pool. Sealing a sealed bin is a no-op.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::TimestampOutOfRange`] (for the bin's start time) when
+    /// `bin` is outside the window.
+    pub fn seal_bin(&mut self, bin: usize) -> Result<()> {
+        if bin >= self.num_bins {
+            return Err(FlowError::TimestampOutOfRange {
+                ts: self.start_secs.saturating_add((bin as u64).saturating_mul(self.bin_secs)),
+                start: self.start_secs,
+                end: self.window_end(),
+            });
+        }
+        if self.sealed[bin] {
+            return Ok(());
+        }
+        self.sealed[bin] = true;
+        self.open_bins -= 1;
+        // After the last open bin no cell can take a key again, so its
+        // sets and the pool are freed instead of recycled.
+        let recycle = self.open_bins > 0;
+        for set in &mut self.distinct[bin * self.num_od..(bin + 1) * self.num_od] {
+            let mut old = std::mem::replace(set, HashSet::with_hasher(self.hash_state));
+            if recycle && old.capacity() > 0 {
+                old.clear();
+                self.spare.push(old);
+            }
+        }
+        if !recycle {
+            self.spare = Vec::new();
+        }
+        Ok(())
     }
 
     /// Records accepted into bin `bin` so far, or `None` outside the
@@ -159,7 +253,8 @@ impl OdBinner {
     /// Snapshots the accumulation state into a [`BinnerState`]. Distinct
     /// 5-tuple sets are emitted sorted, so the snapshot is canonical: two
     /// binners that accepted the same records produce identical state
-    /// regardless of hash-set iteration order.
+    /// regardless of hash keys and hash-set iteration order. A sealed
+    /// bin's sets are gone, so it exports empty ones.
     pub(crate) fn export_state(&self) -> BinnerState {
         let distinct = self
             .distinct
@@ -213,7 +308,8 @@ impl OdBinner {
     /// Replaces the accumulation state with a snapshot taken from a binner
     /// of identical geometry. The distinct sets are rebuilt by insertion —
     /// set membership is all [`Self::push`] ever consults, so restored
-    /// accumulation is bit-identical to the original.
+    /// accumulation is bit-identical to the original. Every bin is open
+    /// afterwards.
     ///
     /// # Errors
     ///
@@ -242,7 +338,18 @@ impl OdBinner {
         self.bytes = state.bytes.clone();
         self.packets = state.packets.clone();
         self.flows = state.flows.clone();
-        self.distinct = state.distinct.iter().map(|keys| keys.iter().copied().collect()).collect();
+        self.distinct = state
+            .distinct
+            .iter()
+            .map(|keys| {
+                let mut set = HashSet::with_capacity_and_hasher(keys.len(), self.hash_state);
+                set.extend(keys.iter().copied());
+                set
+            })
+            .collect();
+        self.sealed.fill(false);
+        self.open_bins = self.num_bins;
+        self.spare.clear();
         self.bin_records = state.bin_records.clone();
         self.records_accepted = state.records_accepted;
         Ok(())
@@ -440,6 +547,148 @@ mod tests {
         let small = OdBinner::new(0, 300, 1, 2).unwrap().export_state();
         let mut big = OdBinner::new(0, 300, 2, 2).unwrap();
         assert!(matches!(big.restore_state(&small), Err(FlowError::Codec { .. })));
+    }
+
+    #[test]
+    fn sealed_bin_rejects_records_and_keeps_counts() {
+        let mut b = OdBinner::new(0, 300, 3, 2).unwrap();
+        b.push(1, &rec(0, 1000, 2, 100)).unwrap();
+        b.push(1, &rec(60, 1001, 3, 200)).unwrap();
+        b.seal_bin(0).unwrap();
+        b.seal_bin(0).unwrap(); // idempotent
+        let rows = |b: &OdBinner| {
+            [TrafficType::Bytes, TrafficType::Packets, TrafficType::Flows]
+                .map(|t| b.bin_row(0, t).unwrap().to_vec())
+        };
+        let before = rows(&b);
+        // A new key and an already-counted key: both rejected, nothing moves.
+        for r in [rec(120, 1002, 1, 10), rec(0, 1000, 1, 10)] {
+            assert_eq!(b.push(1, &r), Err(FlowError::BinSealed { bin: 0 }));
+        }
+        assert_eq!(rows(&b), before);
+        assert_eq!(b.bin_record_count(0), Some(2));
+        assert_eq!(b.records_accepted(), 2);
+        // Later bins stay open; out-of-window bins cannot be sealed.
+        b.push(1, &rec(300, 1000, 1, 10)).unwrap();
+        assert!(matches!(b.seal_bin(3), Err(FlowError::TimestampOutOfRange { ts: 900, .. })));
+        let set = b.finalize().unwrap();
+        assert_eq!(set.flows.data[(0, 1)], 2.0);
+        assert_eq!(set.bytes.data[(0, 1)], 300.0);
+        assert_eq!(set.flows.data[(1, 1)], 1.0);
+    }
+
+    #[test]
+    fn recycled_sets_start_empty() {
+        // The cell's set from bin 0 is cleared into the pool and reused by
+        // bin 1: the same key must count as a fresh flow there.
+        let mut b = OdBinner::new(0, 300, 3, 1).unwrap();
+        b.push(0, &rec(0, 1000, 1, 10)).unwrap();
+        b.push(0, &rec(60, 1001, 1, 10)).unwrap();
+        b.seal_bin(0).unwrap();
+        assert_eq!(b.spare.len(), 1, "bin 0's set waits in the pool");
+        b.push(0, &rec(300, 1000, 1, 10)).unwrap();
+        assert!(b.spare.is_empty(), "bin 1 reused it");
+        b.seal_bin(1).unwrap();
+        b.seal_bin(2).unwrap();
+        assert!(b.spare.is_empty() && b.distinct.iter().all(|s| s.capacity() == 0));
+        let set = b.finalize().unwrap();
+        assert_eq!(set.flows.data.as_slice(), &[2.0, 1.0, 0.0]);
+    }
+
+    /// A seeded stream over a deliberately small key space: every key
+    /// recurs across the minute windows of its bin and across bins, and
+    /// `Protocol::Other(6)` shares its packed tuple with `Protocol::Tcp`.
+    fn repetitive_stream(seed: u64, bins: u64, od: usize) -> Vec<(usize, FlowRecord)> {
+        use rand::Rng;
+        use rand_chacha::rand_core::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        (0..4000)
+            .map(|_| {
+                let protocol = match rng.gen_range(0..4u8) {
+                    0 => Protocol::Tcp,
+                    1 => Protocol::Other(6),
+                    2 => Protocol::Udp,
+                    _ => Protocol::Other(17),
+                };
+                let key = FlowKey::new(
+                    IpAddr::from_octets(10, 0, 0, rng.gen_range(0..4u8)),
+                    IpAddr::from_octets(10, 16, 0, rng.gen_range(0..4u8)),
+                    rng.gen_range(1000..1004u16),
+                    80,
+                    protocol,
+                );
+                let ts = rng.gen_range(0..bins) * 300 + rng.gen_range(0..5u64) * 60;
+                let record = FlowRecord {
+                    key,
+                    router: 0,
+                    interface: 0,
+                    window_start: ts,
+                    packets: 1,
+                    bytes: rng.gen_range(40..1500u64),
+                };
+                (rng.gen_range(0..od), record)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn distinct_counts_match_btreeset_reference() {
+        use std::collections::BTreeSet;
+        let (bins, od) = (6usize, 3usize);
+        for seed in 0..8u64 {
+            let stream = repetitive_stream(seed, bins as u64, od);
+            let mut reference = BTreeSet::new();
+            for (o, r) in &stream {
+                reference.insert(((r.window_start / 300) as usize, *o, r.key));
+            }
+            let mut expected = vec![0.0; bins * od];
+            for &(bin, o, _) in &reference {
+                expected[bin * od + o] += 1.0;
+            }
+            let keys = [FlowKeyHashState::new(), FlowKeyHashState::with_keys(seed, !seed)];
+            for hash_state in keys {
+                let mut b = OdBinner::with_hash_state(0, 300, bins, od, hash_state).unwrap();
+                for (o, r) in &stream {
+                    b.push(*o, r).unwrap();
+                }
+                assert_eq!(b.finalize().unwrap().flows.data.as_slice(), expected.as_slice());
+            }
+            // Sealing each bin as the (bin-ordered) stream leaves it, so
+            // recycled sets carry keys into later bins' cells, counts the
+            // same.
+            let mut ordered = stream.clone();
+            ordered.sort_by_key(|(_, r)| r.window_start / 300);
+            let mut b = OdBinner::new(0, 300, bins, od).unwrap();
+            let mut open = 0;
+            for (o, r) in &ordered {
+                let bin = (r.window_start / 300) as usize;
+                while open < bin {
+                    b.seal_bin(open).unwrap();
+                    open += 1;
+                }
+                b.push(*o, r).unwrap();
+            }
+            assert_eq!(b.finalize().unwrap().flows.data.as_slice(), expected.as_slice());
+        }
+    }
+
+    #[test]
+    fn hash_keys_do_not_reach_exported_state() {
+        let stream = repetitive_stream(42, 4, 3);
+        let fill = |seed: u64, fold: u64| {
+            let hash_state = FlowKeyHashState::with_keys(seed, fold);
+            let mut b = OdBinner::with_hash_state(0, 300, 4, 3, hash_state).unwrap();
+            for (o, r) in &stream {
+                b.push(*o, r).unwrap();
+            }
+            b
+        };
+        let (a, b) = (fill(1, 2), fill(0xDEAD_BEEF, 0x1234_5678_9ABC_DEF1));
+        assert_eq!(a.export_state(), b.export_state());
+        for bin in 0..4 {
+            assert_eq!(a.export_bin(bin), b.export_bin(bin));
+        }
+        assert!(a.export_state().distinct.iter().any(|keys| keys.len() > 1));
     }
 
     #[test]

@@ -55,6 +55,13 @@ pub enum FlowError {
         /// Human-readable description of the mismatch.
         reason: String,
     },
+    /// A record arrived for a bin that was already sealed: its counts are
+    /// final and its distinct-flow sets are gone, so accepting the record
+    /// would miscount the bin.
+    BinSealed {
+        /// The sealed bin (window coordinates of the rejecting component).
+        bin: usize,
+    },
 }
 
 impl fmt::Display for FlowError {
@@ -84,6 +91,9 @@ impl fmt::Display for FlowError {
             FlowError::WindowMisaligned { reason } => {
                 write!(f, "ingest window misaligned with record source: {reason}")
             }
+            FlowError::BinSealed { bin } => {
+                write!(f, "record for bin {bin}, which is already sealed")
+            }
         }
     }
 }
@@ -112,5 +122,6 @@ mod tests {
         assert!(FlowError::WindowMisaligned { reason: "bin width 60 vs 300".into() }
             .to_string()
             .contains("misaligned"));
+        assert!(FlowError::BinSealed { bin: 7 }.to_string().contains("bin 7"));
     }
 }

@@ -29,7 +29,7 @@
 
 use crate::binning::{BinState, BinnerState, OdBinner};
 use crate::error::{FlowError, Result};
-use crate::key::FlowKey;
+use crate::key::{FlowKey, FlowKeyHashState};
 use crate::matrix::{TrafficMatrix, TrafficMatrixSet, TrafficType};
 use crate::netflow::decode_datagram_lossy;
 use crate::od::{OdResolution, OdResolver, ResolutionStats};
@@ -80,6 +80,8 @@ impl BinShard {
     ///   window but outside this shard's bin range — a routing bug in the
     ///   caller, never silently absorbed.
     /// * [`FlowError::BadOdIndex`] for an OD index outside the matrix.
+    /// * [`FlowError::BinSealed`] (global bin) for a record of a bin
+    ///   sealed with [`Self::seal_bin`].
     pub fn push_sampled_record(&mut self, mut record: FlowRecord) -> Result<()> {
         if self.anonymize {
             record.key = record.key.with_anonymized_dst();
@@ -91,12 +93,27 @@ impl BinShard {
                     self.dropped_out_of_window += 1;
                     Ok(())
                 }
+                Err(FlowError::BinSealed { bin }) => {
+                    Err(FlowError::BinSealed { bin: self.first_bin + bin })
+                }
                 Err(e) => Err(e),
             },
             // Unresolvable and transit traffic is excluded from OD matrices
             // — the paper's ~7% resolution loss.
             _ => Ok(()),
         }
+    }
+
+    /// Seals **global** bin `bin` (see [`OdBinner::seal_bin`]): its counts
+    /// are final, its distinct sets are recycled for later bins, and a
+    /// later record for it fails with [`FlowError::BinSealed`].
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::TimestampOutOfRange`] when this shard does not own
+    /// `bin`.
+    pub fn seal_bin(&mut self, bin: usize) -> Result<()> {
+        self.binner.seal_bin(bin.wrapping_sub(self.first_bin))
     }
 
     /// The contiguous global bin range this shard owns.
@@ -385,6 +402,7 @@ pub struct ShardedIngest {
     /// Stat-free resolver prototype cloned into every shard.
     resolver: OdResolver,
     shard_bins: usize,
+    hash_state: FlowKeyHashState,
 }
 
 impl ShardedIngest {
@@ -417,7 +435,18 @@ impl ShardedIngest {
             anonymize: config.anonymize,
             resolver: OdResolver::new(topology, ingress, routes, config.anonymize),
             shard_bins: DEFAULT_SHARD_BINS,
+            hash_state: FlowKeyHashState::new(),
         })
+    }
+
+    /// Replaces the process-wide hash keys of the shards' distinct-5-tuple
+    /// sets. Matrices, exports and checkpoints never depend on the keys —
+    /// only the sets' internal layout does — which is what tests pinning
+    /// two different keys check.
+    #[must_use]
+    pub fn with_hash_state(mut self, hash_state: FlowKeyHashState) -> Self {
+        self.hash_state = hash_state;
+        self
     }
 
     /// Overrides the shard grain (bins per shard, clamped to at least 1).
@@ -459,11 +488,12 @@ impl ShardedIngest {
         if bins.is_empty() || bins.end > self.num_bins {
             return Err(FlowError::NoData);
         }
-        let binner = OdBinner::new(
+        let binner = OdBinner::with_hash_state(
             self.start_secs + bins.start as u64 * self.bin_secs,
             self.bin_secs,
             bins.len(),
             self.num_od,
+            self.hash_state,
         )?;
         Ok(BinShard {
             first_bin: bins.start,
@@ -567,7 +597,9 @@ impl ShardedIngest {
     /// fills every shard across the persistent [`odflow_par`] pool, and
     /// merges. Shard fills are single-threaded task bodies — the record
     /// push loop opens no inner region — which is exactly what the pool's
-    /// no-nesting contract asks of task bodies.
+    /// no-nesting contract asks of task bodies. A filled shard seals its
+    /// bins before its task ends, so only the shards still filling hold
+    /// distinct-5-tuple sets.
     ///
     /// Bit-identical to pushing the same records through the serial
     /// pipeline, for any `ODFLOW_THREADS`.
@@ -583,9 +615,13 @@ impl ShardedIngest {
         }
         let shards = odflow_par::map_chunks(num_shards, 1, |range| {
             let i = range.start;
-            let mut shard = self.make_shard(self.shard_range(i))?;
+            let range = self.shard_range(i);
+            let mut shard = self.make_shard(range.clone())?;
             for &r in &partitions[i] {
                 shard.push_sampled_record(*r)?;
+            }
+            for bin in range {
+                shard.seal_bin(bin)?;
             }
             Ok(shard)
         })
@@ -784,6 +820,72 @@ mod tests {
         let r = record(&plan, 0, 5, 10 * 300, 1);
         assert!(matches!(shard.push_sampled_record(r), Err(FlowError::TimestampOutOfRange { .. })));
         assert_eq!(shard.dropped_out_of_window(), 0, "misroutes must not count as drops");
+    }
+
+    #[test]
+    fn sealed_shard_bin_rejects_records_in_window_coordinates() {
+        let (_, plan, engine, _) = setup(12);
+        // Shard 1 owns global bins 4..8.
+        let mut shard = engine.make_shard(engine.shard_range(1)).unwrap();
+        shard.push_sampled_record(record(&plan, 0, 5, 5 * 300, 1)).unwrap();
+        shard.seal_bin(5).unwrap();
+        let flows = shard.bin_row(5, TrafficType::Flows).unwrap().to_vec();
+        let late = record(&plan, 0, 5, 5 * 300 + 60, 2);
+        assert_eq!(shard.push_sampled_record(late), Err(FlowError::BinSealed { bin: 5 }));
+        assert_eq!(shard.bin_row(5, TrafficType::Flows).unwrap(), flows.as_slice());
+        assert_eq!(shard.records_accepted(), 1);
+        shard.push_sampled_record(record(&plan, 0, 5, 6 * 300, 3)).unwrap();
+        // Bins the shard does not own cannot be sealed through it.
+        for foreign in [3, 8] {
+            assert!(matches!(shard.seal_bin(foreign), Err(FlowError::TimestampOutOfRange { .. })));
+        }
+    }
+
+    #[test]
+    fn ingest_records_matches_serial_at_unit_grain() {
+        // One bin per shard: every shard seals its only bin, which frees
+        // its sets outright.
+        let num_bins = 7;
+        let (_, plan, engine, mut serial) = setup(num_bins);
+        let stream = mixed_stream(&plan, num_bins);
+        for r in &stream {
+            serial.push_sampled_record(*r).unwrap();
+        }
+        let serial_dropped = serial.dropped_out_of_window();
+        let (serial_set, serial_stats) = serial.finalize().unwrap();
+        let engine = engine.with_shard_bins(1);
+        for &threads in &[1usize, 4] {
+            let merged =
+                odflow_par::with_thread_limit(threads, || engine.ingest_records(&stream).unwrap());
+            assert_eq!(merged.stats, serial_stats, "threads={threads}");
+            assert_eq!(merged.dropped_out_of_window, serial_dropped);
+            for (m, s) in [
+                (&merged.matrices.bytes, &serial_set.bytes),
+                (&merged.matrices.packets, &serial_set.packets),
+                (&merged.matrices.flows, &serial_set.flows),
+            ] {
+                let bits = |m: &TrafficMatrix| -> Vec<u64> {
+                    m.data.as_slice().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(m), bits(s), "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn hash_keys_do_not_reach_shard_state() {
+        let num_bins = 5;
+        let (_, plan, engine, _) = setup(num_bins);
+        let stream = mixed_stream(&plan, num_bins);
+        let export = |seed: u64, fold: u64| {
+            let engine = engine.clone().with_hash_state(FlowKeyHashState::with_keys(seed, fold));
+            let mut shard = engine.make_shard(0..num_bins).unwrap();
+            for r in &stream {
+                shard.push_sampled_record(*r).unwrap();
+            }
+            (shard.export_state(), (0..num_bins).map(|b| shard.export_bin(b)).collect::<Vec<_>>())
+        };
+        assert_eq!(export(1, 2), export(u64::MAX, 0x0123_4567_89AB_CDEF));
     }
 
     #[test]

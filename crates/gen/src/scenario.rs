@@ -402,7 +402,9 @@ impl<'a> TraceGenerator<'a> {
     /// bin's records never leave its shard, the merged result is
     /// bit-identical to pushing [`records_for_bin`](Self::records_for_bin)
     /// output through the serial [`odflow_flow::MeasurementPipeline`] —
-    /// for any `ODFLOW_THREADS`.
+    /// for any `ODFLOW_THREADS`. Each bin is sealed right after it is
+    /// rendered, so a shard holds one bin of distinct-5-tuple sets at a
+    /// time.
     ///
     /// `config` must share the scenario's bin grid (same `start_secs` and
     /// `bin_secs` — bin-range shard routing relies on scenario bin `b`
@@ -434,6 +436,15 @@ impl<'a> TraceGenerator<'a> {
         }
         let engine =
             odflow_flow::ShardedIngest::new(config, &self.scenario.topology, ingress, routes)?;
+        self.bin_into(&engine)
+    }
+
+    /// The body of [`bin_scenario`](Self::bin_scenario) over an aligned
+    /// engine of any shard grain.
+    fn bin_into(
+        &self,
+        engine: &odflow_flow::ShardedIngest,
+    ) -> odflow_flow::Result<odflow_flow::IngestOutcome> {
         let num_shards = engine.num_shards();
         let gen_bins = self.num_bins();
         let shards = odflow_par::map_chunks(num_shards, 1, |task| {
@@ -450,11 +461,18 @@ impl<'a> TraceGenerator<'a> {
                     }
                 });
             };
-            for bin in range.start..range.end.min(gen_bins) {
-                render(bin, &mut shard, &mut err);
-                if let Some(e) = err.take() {
-                    return Err(e);
+            // A bin's records all carry timestamps inside it, so each bin
+            // is sealed as soon as it is rendered: its distinct sets go
+            // back to the shard's pool for the next bin, and a stray
+            // record for it would fail loudly rather than miscount.
+            for bin in range {
+                if bin < gen_bins {
+                    render(bin, &mut shard, &mut err);
+                    if let Some(e) = err.take() {
+                        return Err(e);
+                    }
                 }
+                shard.seal_bin(bin)?;
             }
             // Scenario bins beyond the engine window (if any) still reach
             // the pipeline in the serial path — as counted drops. The last
@@ -1020,6 +1038,66 @@ mod tests {
                 serial_set.packets.data.as_slice()
             );
             assert_eq!(outcome.matrices.flows.data.as_slice(), serial_set.flows.data.as_slice());
+        }
+    }
+
+    #[test]
+    fn sealed_bin_scenario_is_bit_identical_to_serial_pipeline() {
+        use odflow_flow::{MeasurementPipeline, PipelineConfig, ShardedIngest, TrafficMatrix};
+        use odflow_net::IngressResolver;
+        // A DoS repeats its 5-tuples across the minute windows of each bin
+        // it covers, so the distinct-flow view depends on per-bin sets
+        // that sealing recycles.
+        let dos = InjectedAnomaly {
+            id: 1,
+            kind: AnomalyKind::Dos,
+            start_bin: 270,
+            duration_bins: 12,
+            od_pairs: vec![(2, 7)],
+            intensity: 400.0,
+            port: 80,
+            scan_mode: ScanMode::Network,
+            shift_to: None,
+            packets_per_flow: 20.0,
+            packet_bytes: 0,
+        };
+        let s = small_scenario(vec![dos]);
+        let g = s.generator();
+        let routes = s.plan.build_route_table(1.0).unwrap();
+        let ingress = IngressResolver::synthetic(&s.topology);
+        let bits = |m: &TrafficMatrix| -> Vec<u64> {
+            m.data.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        // The full day, and a window 8 bins short whose last shard absorbs
+        // the trailing bins as counted drops.
+        for window in [g.num_bins(), 280] {
+            let cfg = PipelineConfig::abilene(s.config.start_secs, window);
+            let mut serial =
+                MeasurementPipeline::new(cfg, &s.topology, ingress.clone(), routes.clone())
+                    .unwrap();
+            for bin in 0..g.num_bins() {
+                for r in g.records_for_bin(bin) {
+                    serial.push_sampled_record(r).unwrap();
+                }
+            }
+            let dropped = serial.dropped_out_of_window();
+            assert_eq!(dropped > 0, window < g.num_bins());
+            let (set, stats) = serial.finalize().unwrap();
+            let engine =
+                ShardedIngest::new(cfg, &s.topology, ingress.clone(), routes.clone()).unwrap();
+            for grain in [odflow_flow::DEFAULT_SHARD_BINS, 1] {
+                let engine = engine.clone().with_shard_bins(grain);
+                for threads in [1usize, 4] {
+                    let out =
+                        odflow_par::with_thread_limit(threads, || g.bin_into(&engine)).unwrap();
+                    let at = format!("window={window} grain={grain} threads={threads}");
+                    assert_eq!(out.stats, stats, "{at}");
+                    assert_eq!(out.dropped_out_of_window, dropped, "{at}");
+                    assert_eq!(bits(&out.matrices.bytes), bits(&set.bytes), "{at}");
+                    assert_eq!(bits(&out.matrices.packets), bits(&set.packets), "{at}");
+                    assert_eq!(bits(&out.matrices.flows), bits(&set.flows), "{at}");
+                }
+            }
         }
     }
 

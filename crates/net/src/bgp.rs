@@ -380,6 +380,32 @@ mod tests {
     }
 
     #[test]
+    fn stride_lookup_matches_walk_over_abilene_plan() {
+        let (t, p) = plan();
+        let table = p.build_route_table(1.0).unwrap();
+        let mut prefixes: Vec<Prefix> =
+            (0..t.num_pops()).flat_map(|pop| p.customer_prefixes(pop).to_vec()).collect();
+        prefixes.extend(p.peer_prefixes().iter().map(|&(prefix, _)| prefix));
+        prefixes.extend_from_slice(p.unannounced_prefixes());
+        crate::prefix::assert_stride_matches_walk(&table.trie, &prefixes, 2004, 100_000);
+    }
+
+    #[test]
+    fn stride_lookup_matches_walk_over_large_plan() {
+        // /21 customer blocks sit below the stride, so every covered /16
+        // resumes the walk from a depth-16 node.
+        let t = Topology::synthetic_mesh(300).unwrap();
+        let p = AddressPlan::synthetic_large(&t);
+        let table = p.build_route_table(0.75).unwrap();
+        let mut prefixes: Vec<Prefix> =
+            (0..t.num_pops()).flat_map(|pop| p.customer_prefixes(pop).to_vec()).collect();
+        prefixes.extend_from_slice(p.unannounced_prefixes());
+        crate::prefix::assert_stride_matches_walk(&table.trie, &prefixes, 519, 100_000);
+        assert_eq!(table.egress(p.customer_addr(299, 0, 0x7FF)), Some(299));
+        assert_eq!(table.egress(p.customer_addr(299, 3, 1)), None, "uncovered block");
+    }
+
+    #[test]
     fn route_replacement() {
         let mut t = RouteTable::new();
         let pre: Prefix = "10.0.0.0/16".parse().unwrap();

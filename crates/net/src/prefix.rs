@@ -4,10 +4,32 @@
 //! given a destination IP, find the most specific matching prefix and read
 //! off the egress PoP. [`PrefixTrie`] implements the standard binary trie
 //! used by routing software for exactly this query.
+//!
+//! ## Stride-16 first level
+//!
+//! Every binned flow record costs one egress lookup, and a bit-by-bit walk
+//! down a 16-deep path is a chain of 16 dependent loads. [`PrefixTrie`]
+//! therefore answers the first 16 bits from a flat table indexed by the
+//! address's top 16 bits. Each of the 2¹⁶ entries is one `u32`, so the
+//! table is 256 KB. An entry holds either the best match among prefixes of
+//! length ≤ 16 covering that /16, or — when longer prefixes exist below it
+//! (the `/21` blocks of the large-mesh address plan) — an index into a
+//! short side list naming the depth-16 trie node to resume the walk from
+//! plus that fallback best match. Lookups in /16-or-coarser tables take one
+//! load; deeper ones walk only bits 16 and on.
+//!
+//! The table is built on the **first lookup**, not at insert time: one DFS
+//! over the trie's top 16 levels fills it in O(nodes + 2¹⁶). Clones of a
+//! trie share the built table (the per-shard resolvers of a sharded ingest
+//! build it once between them), and [`PrefixTrie::insert`] resets it, so
+//! a route installed after lookups began is seen by the next lookup.
+//! Building lazily keeps construction paths that never look anything up —
+//! daemon bind, route-table assembly — free of the build cost.
 
 use crate::error::{NetError, Result};
 use std::fmt;
 use std::str::FromStr;
+use std::sync::{Arc, OnceLock};
 
 /// An IPv4 address held as a host-order `u32`.
 ///
@@ -153,10 +175,18 @@ impl FromStr for Prefix {
 
 /// A binary trie mapping prefixes to values, answering longest-prefix-match
 /// queries — the core routing-table data structure.
+///
+/// Lookups start from a stride-16 table indexed by the address's top 16
+/// bits (256 KB of `u32` entries), so a table of /16-or-coarser prefixes
+/// answers in one load and longer prefixes walk only bits 16 and on. The
+/// table is built by the first lookup, shared with clones, and reset by
+/// [`Self::insert`].
 #[derive(Debug, Clone)]
 pub struct PrefixTrie<T> {
     nodes: Vec<TrieNode<T>>,
     len: usize,
+    /// The stride table, built on first lookup and shared with clones.
+    stride: Arc<OnceLock<StrideTable>>,
 }
 
 #[derive(Debug, Clone)]
@@ -171,10 +201,90 @@ impl<T> Default for PrefixTrie<T> {
     }
 }
 
+/// Address bits resolved by the stride table.
+const STRIDE: u32 = 16;
+
+/// Tag bit of a stride entry whose payload indexes [`StrideTable::deep`].
+const DEEP: u32 = 1 << 31;
+
+/// The stride-16 first level of a [`PrefixTrie`].
+///
+/// A slot (indexed by the top 16 address bits) holds `0` for no match,
+/// `node + 1` for the node carrying the best match of length ≤ 16, or
+/// `DEEP | i` when longer prefixes exist below the slot's /16, with
+/// `deep[i]` naming where to resume.
+struct StrideTable {
+    slots: Box<[u32]>,
+    deep: Vec<DeepSlot>,
+}
+
+/// A slot with prefixes longer than 16 bits below it.
+#[derive(Clone, Copy)]
+struct DeepSlot {
+    /// The depth-16 trie node to continue the walk from.
+    node: u32,
+    /// Best match of length ≤ 16, encoded like a plain slot.
+    best: u32,
+}
+
+impl fmt::Debug for StrideTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StrideTable").field("deep_slots", &self.deep.len()).finish()
+    }
+}
+
+impl StrideTable {
+    /// Fills every slot with one DFS over the trie's top 16 levels: an
+    /// absent child at depth `d` fills its whole `2^(15-d)`-slot range with
+    /// the best match so far, so each slot is written exactly once.
+    fn build<T>(nodes: &[TrieNode<T>]) -> StrideTable {
+        // Encoded node indices must leave the tag bit free. A trie that
+        // large (2^31 nodes, tens of GB) cannot be built in the first place.
+        let index = |node: usize| {
+            u32::try_from(node)
+                .ok()
+                .filter(|&i| i < DEEP - 1)
+                .expect("prefix trie exceeds 2^31 nodes")
+        };
+        let mut slots = vec![0u32; 1 << STRIDE].into_boxed_slice();
+        let mut deep = Vec::new();
+        // (node, depth, address bits above `depth`, best match so far)
+        let mut stack = vec![(0usize, 0u32, 0usize, 0u32)];
+        while let Some((node, depth, bits, best)) = stack.pop() {
+            let TrieNode { children, value } = &nodes[node];
+            let best = if value.is_some() { index(node) + 1 } else { best };
+            if depth == STRIDE {
+                slots[bits] = if children.iter().all(Option::is_none) {
+                    best
+                } else {
+                    deep.push(DeepSlot { node: index(node), best });
+                    DEEP | (deep.len() - 1) as u32
+                };
+                continue;
+            }
+            for (bit, child) in children.iter().enumerate() {
+                let bits = bits << 1 | bit;
+                match *child {
+                    Some(child) => stack.push((child, depth + 1, bits, best)),
+                    None => {
+                        let span = STRIDE - depth - 1;
+                        slots[bits << span..(bits + 1) << span].fill(best);
+                    }
+                }
+            }
+        }
+        StrideTable { slots, deep }
+    }
+}
+
 impl<T> PrefixTrie<T> {
     /// Creates an empty trie.
     pub fn new() -> Self {
-        PrefixTrie { nodes: vec![TrieNode { children: [None, None], value: None }], len: 0 }
+        PrefixTrie {
+            nodes: vec![TrieNode { children: [None, None], value: None }],
+            len: 0,
+            stride: Arc::default(),
+        }
     }
 
     /// Number of prefixes stored.
@@ -188,8 +298,14 @@ impl<T> PrefixTrie<T> {
     }
 
     /// Inserts (or replaces) the value for a prefix. Returns the previous
-    /// value when replacing.
+    /// value when replacing. Resets the stride table; the next lookup
+    /// rebuilds it.
     pub fn insert(&mut self, prefix: Prefix, value: T) -> Option<T> {
+        match Arc::get_mut(&mut self.stride) {
+            Some(table) => drop(table.take()),
+            // Shared with a clone, which keeps the table of its own routes.
+            None => self.stride = Arc::default(),
+        }
         let mut node = 0usize;
         for depth in 0..prefix.len() {
             let bit = ((prefix.network().0 >> (31 - depth)) & 1) as usize;
@@ -211,11 +327,35 @@ impl<T> PrefixTrie<T> {
     }
 
     /// Longest-prefix-match lookup: the value of the most specific prefix
-    /// containing `addr`, if any.
+    /// containing `addr`, if any. The first call builds the stride table.
     pub fn lookup(&self, addr: IpAddr) -> Option<&T> {
-        let mut node = 0usize;
-        let mut best = self.nodes[0].value.as_ref();
-        for depth in 0..32 {
+        let table = self.stride.get_or_init(|| StrideTable::build(&self.nodes));
+        let slot = table.slots[(addr.0 >> (32 - STRIDE)) as usize];
+        if slot & DEEP == 0 {
+            return self.value_at(slot);
+        }
+        let deep = table.deep[(slot & !DEEP) as usize];
+        self.walk_from(deep.node as usize, STRIDE, addr).or_else(|| self.value_at(deep.best))
+    }
+
+    /// The value of the node a stride slot encodes (`0` = none).
+    fn value_at(&self, slot: u32) -> Option<&T> {
+        self.nodes[slot.checked_sub(1)? as usize].value.as_ref()
+    }
+
+    /// The plain bit-by-bit longest-prefix match from the root, without
+    /// the stride table — the oracle the strided lookup is tested against.
+    #[cfg(test)]
+    pub(crate) fn lookup_by_walk(&self, addr: IpAddr) -> Option<&T> {
+        self.walk_from(0, 0, addr)
+    }
+
+    /// Longest-prefix match continued from `node`, which sits at depth
+    /// `from_depth`: the deepest valued node on `addr`'s path below (and
+    /// including) `node`.
+    fn walk_from(&self, mut node: usize, from_depth: u32, addr: IpAddr) -> Option<&T> {
+        let mut best = self.nodes[node].value.as_ref();
+        for depth in from_depth..32 {
             let bit = ((addr.0 >> (31 - depth)) & 1) as usize;
             match self.nodes[node].children[bit] {
                 Some(child) => {
@@ -238,6 +378,44 @@ impl<T> PrefixTrie<T> {
             node = self.nodes[node].children[bit]?;
         }
         self.nodes[node].value.as_ref()
+    }
+}
+
+/// Test oracle: asserts the strided lookup equals the plain bit-by-bit
+/// walk on each prefix's first and last address (and their neighbours at
+/// ±1) and on `random` seeded addresses — half uniform over the address
+/// space, half inside a randomly chosen prefix.
+#[cfg(test)]
+pub(crate) fn assert_stride_matches_walk<T: PartialEq + fmt::Debug>(
+    trie: &PrefixTrie<T>,
+    prefixes: &[Prefix],
+    seed: u64,
+    random: usize,
+) {
+    // SplitMix64: a seeded stream with no dependency on `rand`.
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut probes = Vec::with_capacity(6 * prefixes.len() + random);
+    for p in prefixes {
+        for edge in [p.first().0, p.last().0] {
+            probes.extend([edge.wrapping_sub(1), edge, edge.wrapping_add(1)]);
+        }
+    }
+    for i in 0..random {
+        let r = next();
+        probes.push(match prefixes.get((r >> 32) as usize % prefixes.len().max(1)) {
+            Some(p) if i % 2 == 1 => p.network().0 | (r as u32 & p.host_mask()),
+            _ => r as u32,
+        });
+    }
+    for addr in probes.into_iter().map(IpAddr) {
+        assert_eq!(trie.lookup(addr), trie.lookup_by_walk(addr), "lookup of {addr}");
     }
 }
 
@@ -337,6 +515,64 @@ mod tests {
         assert_eq!(t.get(&"10.0.0.0/8".parse().unwrap()), None);
         assert!(!t.is_empty());
         assert!(PrefixTrie::<u8>::new().is_empty());
+    }
+
+    #[test]
+    fn stride_lookup_matches_walk_with_default_and_host_routes() {
+        let mut t = PrefixTrie::new();
+        let prefixes: Vec<Prefix> = [
+            "0.0.0.0/0",
+            "10.0.0.0/8",
+            "10.1.0.0/16",
+            "10.1.128.0/17",
+            "10.1.2.0/24",
+            "10.2.0.0/15",
+            "172.16.0.0/12",
+            "192.168.1.1/32",
+            "255.255.255.255/32",
+            "0.0.0.0/32",
+        ]
+        .iter()
+        .map(|p| p.parse().unwrap())
+        .collect();
+        for (i, &p) in prefixes.iter().enumerate() {
+            t.insert(p, i);
+        }
+        assert_stride_matches_walk(&t, &prefixes, 7, 100_000);
+        assert_eq!(t.lookup("192.168.1.1".parse().unwrap()), Some(&7));
+        assert_eq!(t.lookup("192.168.1.2".parse().unwrap()), Some(&0), "default route");
+        assert_eq!(t.lookup("10.1.200.1".parse().unwrap()), Some(&3));
+    }
+
+    #[test]
+    fn stride_table_tracks_prefixes_installed_after_first_lookup() {
+        let mut t = PrefixTrie::new();
+        let mut prefixes: Vec<Prefix> = vec!["10.1.0.0/16".parse().unwrap()];
+        t.insert(prefixes[0], "coarse");
+        let inside: IpAddr = "10.1.2.3".parse().unwrap();
+        assert_eq!(t.lookup(inside), Some(&"coarse"));
+        // A clone taken now shares the built table and keeps its routes.
+        let before = t.clone();
+        for (p, v) in [("10.1.2.0/24", "fine"), ("0.0.0.0/0", "default"), ("10.1.2.3/32", "host")] {
+            let p: Prefix = p.parse().unwrap();
+            t.insert(p, v);
+            prefixes.push(p);
+            assert_stride_matches_walk(&t, &prefixes, 11, 1_000);
+        }
+        assert_eq!(t.lookup(inside), Some(&"host"));
+        assert_eq!(t.lookup("10.1.2.4".parse().unwrap()), Some(&"fine"));
+        assert_eq!(t.lookup("11.0.0.0".parse().unwrap()), Some(&"default"));
+        assert_eq!(before.lookup(inside), Some(&"coarse"));
+        assert_eq!(before.lookup("11.0.0.0".parse().unwrap()), None);
+    }
+
+    #[test]
+    fn stride_lookup_on_empty_and_root_only_tries() {
+        let mut t: PrefixTrie<u8> = PrefixTrie::new();
+        assert_stride_matches_walk(&t, &[], 3, 1_000);
+        t.insert("0.0.0.0/0".parse().unwrap(), 9);
+        assert_eq!(t.lookup("1.2.3.4".parse().unwrap()), Some(&9));
+        assert_stride_matches_walk(&t, &[], 3, 1_000);
     }
 
     #[test]

@@ -13,8 +13,7 @@ use crate::error::{Result, SubspaceError};
 use crate::model::{ModelState, StateSplit, SubspaceConfig, SubspaceModel};
 use odflow_flow::BinStatus;
 use odflow_linalg::{vecops, Matrix};
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Outcome of scoring one streamed observation.
 #[derive(Debug, Clone)]
@@ -330,24 +329,35 @@ impl SharedOnlineDetector {
 
     /// Scores one observation (exclusive lock).
     pub fn push(&self, x: &[f64]) -> Result<StreamVerdict> {
-        self.inner.write().push(x)
+        self.write().push(x)
     }
 
     /// Quality-aware push (exclusive lock) — see
     /// [`OnlineDetector::push_with_status`].
     pub fn push_with_status(&self, x: &[f64], status: BinStatus) -> Result<StreamVerdict> {
-        self.inner.write().push_with_status(x, status)
+        self.write().push_with_status(x, status)
     }
 
     /// Reads the current thresholds (shared lock) as `(spe, t2)`.
     pub fn thresholds(&self) -> (f64, f64) {
-        let g = self.inner.read();
+        let g = self.read();
         (g.model().spe_threshold(), g.model().t2_threshold())
     }
 
     /// Observations streamed so far.
     pub fn bins_seen(&self) -> usize {
-        self.inner.read().bins_seen()
+        self.read().bins_seen()
+    }
+
+    // Poisoning is recovered, not propagated: the guard hands back the
+    // detector as the panicking holder left it, so one panicked caller
+    // does not wedge every other thread sharing the handle.
+    fn read(&self) -> RwLockReadGuard<'_, OnlineDetector> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, OnlineDetector> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
