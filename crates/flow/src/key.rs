@@ -149,7 +149,7 @@ impl FlowKeyHashState {
     /// A state with explicit keys. Results never depend on the keys —
     /// only the sets' internal layout does — which tests prove by
     /// binning the same records under different keys.
-    pub fn with_keys(seed: u64, fold: u64) -> FlowKeyHashState {
+    pub(crate) fn with_keys(seed: u64, fold: u64) -> FlowKeyHashState {
         FlowKeyHashState { seed, fold }
     }
 }

@@ -43,7 +43,7 @@ pub use aggregate::{FlowAggregator, MINUTE_SECS};
 pub use binning::{BinState, OdBinner};
 pub use digest::{AttributeDigest, Counts};
 pub use error::{FlowError, Result};
-pub use key::{FlowKey, FlowKeyHashState, FlowKeyHasher, Protocol};
+pub use key::{FlowKey, FlowKeyHashState, Protocol};
 pub use matrix::{TrafficMatrix, TrafficMatrixSet, TrafficType, BIN_SECS};
 pub use od::{OdResolution, OdResolver, ResolutionStats};
 pub use packet::PacketObs;

@@ -440,11 +440,11 @@ impl ShardedIngest {
     }
 
     /// Replaces the process-wide hash keys of the shards' distinct-5-tuple
-    /// sets. Matrices, exports and checkpoints never depend on the keys —
-    /// only the sets' internal layout does — which is what tests pinning
-    /// two different keys check.
+    /// sets, so tests can pin two different keys and check that exports
+    /// never depend on them.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_hash_state(mut self, hash_state: FlowKeyHashState) -> Self {
+    pub(crate) fn with_hash_state(mut self, hash_state: FlowKeyHashState) -> Self {
         self.hash_state = hash_state;
         self
     }
@@ -874,6 +874,8 @@ mod tests {
 
     #[test]
     fn hash_keys_do_not_reach_shard_state() {
+        // A daemon checkpoint encodes the shard only through `export_state`
+        // and `export_bin`, so equal exports mean equal checkpoint bytes.
         let num_bins = 5;
         let (_, plan, engine, _) = setup(num_bins);
         let stream = mixed_stream(&plan, num_bins);

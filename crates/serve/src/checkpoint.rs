@@ -1485,50 +1485,6 @@ mod tests {
         )
     }
 
-    #[test]
-    fn hash_keys_do_not_reach_checkpoint_bytes() {
-        // The binner's distinct sets hash with per-process random keys;
-        // the encoded state must not depend on them.
-        use odflow_flow::{FlowKeyHashState, FlowRecord, PipelineConfig, ShardedIngest};
-        use odflow_net::{AddressPlan, IngressResolver, Topology};
-        let t = Topology::abilene();
-        let plan = AddressPlan::synthetic(&t);
-        let routes = plan.build_route_table(1.0).unwrap();
-        let engine = ShardedIngest::new(
-            PipelineConfig::abilene(0, 4),
-            &t,
-            IngressResolver::synthetic(&t),
-            routes,
-        )
-        .unwrap();
-        let encoded = |seed: u64, fold: u64| {
-            let engine = engine.clone().with_hash_state(FlowKeyHashState::with_keys(seed, fold));
-            let mut shard = engine.make_shard(0..4).unwrap();
-            for i in 0..600u32 {
-                let key = FlowKey::new(
-                    plan.customer_addr(i as usize % 11, 0, i % 37),
-                    plan.customer_addr((i as usize + 3) % 11, 1, i % 23),
-                    1024 + (i % 13) as u16,
-                    80,
-                    Protocol::Tcp,
-                );
-                let record = FlowRecord {
-                    key,
-                    router: i as usize % 11,
-                    interface: 0,
-                    window_start: u64::from(i % 20) * 60,
-                    packets: 1,
-                    bytes: 100,
-                };
-                shard.push_sampled_record(record).unwrap();
-            }
-            let state = PipelineState { shard: shard.export_state(), ..sample_state(3) };
-            let bins: Vec<_> = (0..4).map(|b| shard.export_bin(b)).collect();
-            (encode_state(&state), bins)
-        };
-        assert_eq!(encoded(1, 2), encoded(0xFEED_FACE, 0xF00D));
-    }
-
     fn sample_state(seq: u64) -> PipelineState {
         PipelineState {
             seq,
