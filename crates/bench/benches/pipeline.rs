@@ -262,66 +262,10 @@ fn bench_large_mesh(c: &mut Criterion) {
     g.finish();
 }
 
-/// The pinned justification for `JACOBI_PARALLEL_MIN_DIM = 128`: both
-/// sweep orderings, forced, at the crossover dimension (and one step
-/// above). The phased, row-contiguous parallel ordering must beat the
-/// strided serial rotation at p = 128 even on a single thread — per-round
-/// dispatch on the persistent pool is a queue push, so the old 192 floor
-/// (set when every round paid three scoped thread spawns) no longer
-/// applies. If this bench ever inverts, raise the constant back.
-fn bench_jacobi_ordering(c: &mut Criterion) {
-    use odflow::linalg::{eigen_symmetric_with, JacobiOptions, JacobiOrdering};
-    let mut g = c.benchmark_group("jacobi_ordering");
-    g.sample_size(10);
-    for &p in &[128usize, 160] {
-        let x = traffic_matrix(2 * p, p);
-        let cov = odflow::linalg::covariance(&x).unwrap();
-        for (label, ordering) in
-            [("serial", JacobiOrdering::Serial), ("parallel", JacobiOrdering::Parallel)]
-        {
-            g.bench_with_input(BenchmarkId::new(label, p), &cov, |b, cov| {
-                b.iter(|| {
-                    eigen_symmetric_with(
-                        black_box(cov),
-                        JacobiOptions { ordering, ..JacobiOptions::default() },
-                    )
-                    .unwrap()
-                });
-            });
-        }
-    }
-    g.finish();
-}
-
-/// The pinned justification for the Auto dense crossover
-/// (`AUTO_TRIDIAG_MIN_DIM = 128`, `AUTO_DENSE_MAX_DIM = 512`): the blocked
-/// Householder + implicit-shift QR solver against cyclic Jacobi at the
-/// crossover dimension, the quick-report midpoint, and the Auto ceiling.
-/// The tridiagonal pipeline must win (increasingly with dimension) across
-/// the whole span; if it ever inverts at p = 128, raise the crossover.
-fn bench_tridiag_vs_jacobi(c: &mut Criterion) {
-    use odflow::linalg::{eigen_symmetric, eigen_symmetric_tridiagonal};
-    let mut g = c.benchmark_group("tridiag_vs_jacobi");
-    g.sample_size(10);
-    for &p in &[128usize, 256, 512] {
-        let x = traffic_matrix(2 * p, p);
-        let cov = odflow::linalg::covariance(&x).unwrap();
-        g.bench_with_input(BenchmarkId::new("tridiagonal", p), &cov, |b, cov| {
-            b.iter(|| eigen_symmetric_tridiagonal(black_box(cov)).unwrap());
-        });
-        g.bench_with_input(BenchmarkId::new("jacobi", p), &cov, |b, cov| {
-            b.iter(|| eigen_symmetric(black_box(cov)).unwrap());
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_linalg,
     bench_gram_covariance,
-    bench_jacobi_ordering,
-    bench_tridiag_vs_jacobi,
     bench_subspace,
     bench_thresholds,
     bench_measurement,

@@ -2,8 +2,8 @@
 //! numerics core.
 //!
 //! Times every hot stage of the reproduction (the fan-out dispatch
-//! microbench, Gram matrix, dense eigendecomposition (the Auto-crossover
-//! solver plus pinned tridiagonal/Jacobi stages), blocked matmul,
+//! microbench, Gram matrix, dense eigendecomposition (at the paper's
+//! `p = 121` and on mid-size meshes), blocked matmul,
 //! subspace model fit, batch detection, scenario materialization, the
 //! fused sharded ingest, the 90k-OD-pair large-mesh pipeline, the
 //! end-to-end pipeline, the fault-storm frame-ingest path, the daemon's
@@ -41,9 +41,7 @@ use std::time::Instant;
 
 use odflow::flow::PipelineConfig;
 use odflow::gen::{Scenario, ScenarioConfig};
-use odflow::linalg::{
-    eigen_symmetric, eigen_symmetric_auto, eigen_symmetric_tridiagonal, scatter, EigenMethod,
-};
+use odflow::linalg::{eigen_symmetric, scatter, EigenMethod};
 use odflow::net::IngressResolver;
 use odflow::subspace::{SubspaceConfig, SubspaceDetector, SubspaceModel};
 use odflow_bench::{traffic_matrix, PERF_STAGES};
@@ -253,34 +251,30 @@ fn main() {
         }));
     }
 
-    // Dense eigendecomposition on a covariance-sized mesh through the Auto
-    // crossover — which lands on the blocked tridiagonal solver at these
-    // dimensions (both are ≥ AUTO_TRIDIAG_MIN_DIM), exactly what a default
-    // model fit pays.
+    // Dense eigendecomposition: the Abilene-scale solve every model fit
+    // pays (the covariance of a paper week), then a covariance-sized
+    // mid-size mesh.
     if filter.enabled("eigen") {
+        let cov = odflow::linalg::covariance(&traffic_matrix(2016, 121)).unwrap();
+        stages.push(run_stage("eigen", "p=121".into(), reps, || eigen_symmetric(&cov).unwrap()));
+
         let d = if quick { 256 } else { 384 };
         let x = traffic_matrix(2 * d, d);
         let cov = odflow::linalg::covariance(&x).unwrap();
         stages.push(run_stage("eigen", format!("p={d} tridiagonal"), reps, || {
-            eigen_symmetric_auto(&cov).unwrap()
+            eigen_symmetric(&cov).unwrap()
         }));
     }
 
-    // The tridiagonal solver pinned explicitly at two dimensions (the Auto
-    // crossover's midpoint and ceiling), plus the Jacobi reference at the
-    // smaller one so the dense-vs-dense gap stays visible in every report.
+    // The dense solver at the quick-report midpoint and at the Auto
+    // dense ceiling (`AUTO_DENSE_MAX_DIM`).
     if filter.enabled("eigen_tridiag") {
         for &d in &[256usize, 512] {
             let x = traffic_matrix(2 * d, d);
             let cov = odflow::linalg::covariance(&x).unwrap();
             stages.push(run_stage("eigen_tridiag", format!("p={d}"), reps, || {
-                eigen_symmetric_tridiagonal(&cov).unwrap()
+                eigen_symmetric(&cov).unwrap()
             }));
-            if d == 256 {
-                stages.push(run_stage("eigen_tridiag", format!("p={d} jacobi-ref"), reps, || {
-                    eigen_symmetric(&cov).unwrap()
-                }));
-            }
         }
     }
 

@@ -3,7 +3,7 @@
 //! Every consumer of the subspace method ultimately needs one thing from
 //! this crate: the top singular triplets of an `n x p` data matrix. How
 //! they are computed is a *backend* decision — the paper-scale dense route
-//! (full Gram matrix + cyclic Jacobi) is exact but `O(p³)` and `O(p²)`
+//! (full Gram matrix + tridiagonal QR) is exact but `O(p³)` and `O(p²)`
 //! memory, while the randomized range finder ([`randomized_thin_svd`])
 //! touches nothing larger than a `p x (k + oversample)` panel and runs the
 //! detector at 90 000 OD pairs.
@@ -17,27 +17,14 @@
 use crate::error::Result;
 use crate::matrix::Matrix;
 use crate::randomized::{randomized_thin_svd, RandomizedSvdOptions, DEFAULT_SKETCH_SEED};
-use crate::svd::{thin_svd_with, Svd};
+use crate::svd::{thin_svd, Svd};
 
 /// Largest OD-space dimension `p` at which [`EigenMethod::Auto`] stays on
-/// a dense exact path. Below this the full `p x p` Gram eigenproblem is
-/// affordable (the tridiagonal solver keeps it so through mid-size
-/// meshes); above it `Auto` switches to the randomized truncated solver,
-/// whose cost grows only linearly in `p`.
-///
-/// Raised from 256 to 512 when the blocked tridiagonal backend landed:
-/// Jacobi at `p = 512` costs seconds, the tridiagonal pipeline hundreds of
-/// milliseconds, so meshes that used to fall off the exact path now keep
-/// their full spectrum.
+/// the dense exact path. Up to this the full `p x p` Gram eigenproblem is
+/// affordable (hundreds of milliseconds at `p = 512`); above it `Auto`
+/// switches to the randomized truncated solver, whose cost grows only
+/// linearly in `p`.
 pub const AUTO_DENSE_MAX_DIM: usize = 512;
-
-/// Smallest dimension at which the dense exact path switches from cyclic
-/// Jacobi to the blocked Householder + implicit-shift QR solver (under
-/// [`EigenMethod::Auto`]). Below this Jacobi's simplicity wins — and,
-/// deliberately, the paper's `p = 121` Abilene mesh stays on the
-/// historical Jacobi arithmetic, keeping its detection output
-/// byte-identical across releases.
-pub const AUTO_TRIDIAG_MIN_DIM: usize = 128;
 
 /// How to compute the eigen/singular decomposition during model fitting.
 ///
@@ -46,44 +33,33 @@ pub const AUTO_TRIDIAG_MIN_DIM: usize = 128;
 /// ```
 /// use odflow_linalg::EigenMethod;
 ///
-/// // Auto picks the dense exact Jacobi path at the paper's scale...
-/// assert_eq!(EigenMethod::Auto.resolve(121), EigenMethod::DenseJacobi);
-/// // ...the dense tridiagonal path for mid-size meshes...
-/// assert_eq!(EigenMethod::Auto.resolve(256), EigenMethod::DenseTridiagonal);
+/// // Auto picks the dense exact path from the paper's scale through
+/// // mid-size meshes...
+/// assert_eq!(EigenMethod::Auto.resolve(121), EigenMethod::DenseTridiagonal);
+/// assert_eq!(EigenMethod::Auto.resolve(512), EigenMethod::DenseTridiagonal);
 /// // ...and the randomized truncated path at large-mesh scale.
 /// assert!(matches!(
 ///     EigenMethod::Auto.resolve(90_000),
 ///     EigenMethod::RandomizedTruncated { .. }
 /// ));
 /// // Explicit choices resolve to themselves.
-/// assert_eq!(EigenMethod::DenseJacobi.resolve(90_000), EigenMethod::DenseJacobi);
+/// assert_eq!(EigenMethod::DenseTridiagonal.resolve(90_000), EigenMethod::DenseTridiagonal);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EigenMethod {
-    /// Full `p x p` Gram matrix + cyclic Jacobi eigendecomposition: exact,
-    /// the historical default, and the reference every other backend is
-    /// tested against. Memory and time grow as `O(p²)` / `O(p³)` — with a
-    /// large sweep-count constant that makes it the slow choice past
-    /// [`AUTO_TRIDIAG_MIN_DIM`].
-    DenseJacobi,
     /// Full `p x p` Gram matrix + blocked Householder tridiagonalization
-    /// and implicit Wilkinson-shift QR
-    /// ([`crate::eigen_symmetric_tridiagonal`]): the same exact full
-    /// spectrum as [`EigenMethod::DenseJacobi`] at a fraction of the
-    /// arithmetic (~4x at `p = 256`), bit-identical for every thread
-    /// count. Eigenvector signs and low-order bits differ from Jacobi —
-    /// the methods take different arithmetic paths to the same
-    /// eigensystem.
+    /// and implicit Wilkinson-shift QR ([`crate::eigen_symmetric`]): the
+    /// exact full spectrum, bit-identical for every thread count. Memory
+    /// and time grow as `O(p²)` / `O(p³)`.
     ///
     /// ```
     /// use odflow_linalg::{truncated_svd, EigenMethod, Matrix};
     ///
+    /// // The dense backend returns the full spectrum whatever rank is asked.
     /// let x = Matrix::from_fn(40, 24, |i, j| ((i * 3 + j * 7) % 11) as f64);
     /// let tri = truncated_svd(&x, 4, EigenMethod::DenseTridiagonal).unwrap();
-    /// let jac = truncated_svd(&x, 4, EigenMethod::DenseJacobi).unwrap();
-    /// for (a, b) in tri.sigma.iter().zip(&jac.sigma).take(4) {
-    ///     assert!((a - b).abs() < 1e-8 * (1.0 + a));
-    /// }
+    /// assert!(tri.rank() > 4);
+    /// assert!(tri.sigma.windows(2).all(|w| w[0] >= w[1]));
     /// ```
     DenseTridiagonal,
     /// Halko-style randomized range finder: Gaussian sketch, a few power
@@ -99,8 +75,7 @@ pub enum EigenMethod {
         /// Seed of the ChaCha8 Gaussian sketch stream.
         seed: u64,
     },
-    /// Pick by problem size: [`EigenMethod::DenseJacobi`] below
-    /// [`AUTO_TRIDIAG_MIN_DIM`], [`EigenMethod::DenseTridiagonal`] up to
+    /// Pick by problem size: [`EigenMethod::DenseTridiagonal`] up to
     /// [`AUTO_DENSE_MAX_DIM`], otherwise
     /// [`EigenMethod::RandomizedTruncated`] with default parameters
     /// (`oversample = 8`, `power_iters = 2`, a fixed seed). This is the
@@ -115,9 +90,7 @@ impl EigenMethod {
     pub fn resolve(self, p: usize) -> EigenMethod {
         match self {
             EigenMethod::Auto => {
-                if p < AUTO_TRIDIAG_MIN_DIM {
-                    EigenMethod::DenseJacobi
-                } else if p <= AUTO_DENSE_MAX_DIM {
+                if p <= AUTO_DENSE_MAX_DIM {
                     EigenMethod::DenseTridiagonal
                 } else {
                     let d = RandomizedSvdOptions::default();
@@ -134,25 +107,20 @@ impl EigenMethod {
 
     /// Collapses to a concrete **dense** eigensolver for full-spectrum
     /// work at dimension `p` — the dispatch [`crate::thin_svd_with`] uses.
-    /// Explicit dense choices return themselves; `Auto` *and*
-    /// `RandomizedTruncated` (which cannot produce a full spectrum) fall
-    /// back to the dimension-based dense crossover.
-    pub fn resolve_dense(self, p: usize) -> EigenMethod {
+    /// There is one dense solver, so every method lands on it: `Auto` at
+    /// any `p`, and `RandomizedTruncated`, which cannot produce a full
+    /// spectrum.
+    pub fn resolve_dense(self, _p: usize) -> EigenMethod {
         match self {
-            EigenMethod::DenseJacobi | EigenMethod::DenseTridiagonal => self,
-            EigenMethod::Auto | EigenMethod::RandomizedTruncated { .. } => {
-                if p < AUTO_TRIDIAG_MIN_DIM {
-                    EigenMethod::DenseJacobi
-                } else {
-                    EigenMethod::DenseTridiagonal
-                }
-            }
+            EigenMethod::DenseTridiagonal
+            | EigenMethod::Auto
+            | EigenMethod::RandomizedTruncated { .. } => EigenMethod::DenseTridiagonal,
         }
     }
 
-    /// `true` when fitting at dimension `p` takes a dense exact path.
+    /// `true` when fitting at dimension `p` takes the dense exact path.
     pub fn is_dense_for(self, p: usize) -> bool {
-        matches!(self.resolve(p), EigenMethod::DenseJacobi | EigenMethod::DenseTridiagonal)
+        self.resolve(p) == EigenMethod::DenseTridiagonal
     }
 }
 
@@ -180,25 +148,8 @@ pub trait EigenBackend {
     fn fit_svd(&self, x: &Matrix, rank: usize) -> Result<Svd>;
 }
 
-/// The exact dense backend: full Gram matrix + cyclic Jacobi.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DenseJacobiBackend;
-
-impl EigenBackend for DenseJacobiBackend {
-    fn name(&self) -> &'static str {
-        "dense-jacobi"
-    }
-
-    fn fit_svd(&self, x: &Matrix, _rank: usize) -> Result<Svd> {
-        // The dense route computes the full spectrum regardless of the
-        // requested rank: callers relying on tail eigenvalues (detection
-        // thresholds) get them exactly.
-        thin_svd_with(x, 0.0, EigenMethod::DenseJacobi)
-    }
-}
-
-/// The exact dense backend on the fast path: full Gram matrix + blocked
-/// Householder tridiagonalization + implicit-shift QR.
+/// The exact dense backend: full Gram matrix + blocked Householder
+/// tridiagonalization + implicit-shift QR.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DenseTridiagonalBackend;
 
@@ -208,9 +159,10 @@ impl EigenBackend for DenseTridiagonalBackend {
     }
 
     fn fit_svd(&self, x: &Matrix, _rank: usize) -> Result<Svd> {
-        // Full spectrum, same as the Jacobi backend — only the Gram
-        // eigensolver differs.
-        thin_svd_with(x, 0.0, EigenMethod::DenseTridiagonal)
+        // The dense route computes the full spectrum regardless of the
+        // requested rank: callers relying on tail eigenvalues (detection
+        // thresholds) get them exactly.
+        thin_svd(x, 0.0)
     }
 }
 
@@ -244,13 +196,12 @@ impl EigenBackend for RandomizedTruncatedBackend {
 /// use odflow_linalg::{truncated_svd, EigenMethod, Matrix};
 ///
 /// let x = Matrix::from_fn(30, 40, |i, j| ((i * 3 + j * 7) % 11) as f64);
-/// let dense = truncated_svd(&x, 5, EigenMethod::DenseJacobi).unwrap();
+/// let dense = truncated_svd(&x, 5, EigenMethod::DenseTridiagonal).unwrap();
 /// let auto = truncated_svd(&x, 5, EigenMethod::Auto).unwrap(); // p=40 -> dense
 /// assert_eq!(dense.sigma, auto.sigma);
 /// ```
 pub fn truncated_svd(x: &Matrix, rank: usize, method: EigenMethod) -> Result<Svd> {
     match method.resolve(x.ncols()) {
-        EigenMethod::DenseJacobi => DenseJacobiBackend.fit_svd(x, rank),
         EigenMethod::DenseTridiagonal => DenseTridiagonalBackend.fit_svd(x, rank),
         EigenMethod::RandomizedTruncated { oversample, power_iters, seed } => {
             RandomizedTruncatedBackend {
@@ -268,11 +219,10 @@ mod tests {
 
     #[test]
     fn auto_resolves_by_dimension() {
-        assert_eq!(EigenMethod::Auto.resolve(2), EigenMethod::DenseJacobi);
-        // The paper's Abilene mesh stays on the historical Jacobi path.
-        assert_eq!(EigenMethod::Auto.resolve(121), EigenMethod::DenseJacobi);
-        assert_eq!(EigenMethod::Auto.resolve(AUTO_TRIDIAG_MIN_DIM - 1), EigenMethod::DenseJacobi);
-        assert_eq!(EigenMethod::Auto.resolve(AUTO_TRIDIAG_MIN_DIM), EigenMethod::DenseTridiagonal);
+        // One dense solver from the smallest mesh through Abilene's p = 121
+        // up to the dense ceiling; randomized above it.
+        assert_eq!(EigenMethod::Auto.resolve(2), EigenMethod::DenseTridiagonal);
+        assert_eq!(EigenMethod::Auto.resolve(121), EigenMethod::DenseTridiagonal);
         assert_eq!(EigenMethod::Auto.resolve(AUTO_DENSE_MAX_DIM), EigenMethod::DenseTridiagonal);
         match EigenMethod::Auto.resolve(AUTO_DENSE_MAX_DIM + 1) {
             EigenMethod::RandomizedTruncated { oversample, power_iters, seed } => {
@@ -289,7 +239,6 @@ mod tests {
 
     #[test]
     fn explicit_methods_resolve_to_themselves() {
-        assert_eq!(EigenMethod::DenseJacobi.resolve(1_000_000), EigenMethod::DenseJacobi);
         assert_eq!(EigenMethod::DenseTridiagonal.resolve(2), EigenMethod::DenseTridiagonal);
         assert!(EigenMethod::DenseTridiagonal.is_dense_for(1_000_000));
         let r = EigenMethod::RandomizedTruncated { oversample: 3, power_iters: 1, seed: 42 };
@@ -299,53 +248,46 @@ mod tests {
 
     #[test]
     fn resolve_dense_always_lands_on_a_dense_method() {
-        // Explicit dense choices pass through at every dimension.
-        assert_eq!(EigenMethod::DenseJacobi.resolve_dense(10_000), EigenMethod::DenseJacobi);
-        assert_eq!(EigenMethod::DenseTridiagonal.resolve_dense(4), EigenMethod::DenseTridiagonal);
-        // Auto and randomized fall back to the dimension crossover.
-        assert_eq!(EigenMethod::Auto.resolve_dense(121), EigenMethod::DenseJacobi);
-        assert_eq!(
-            EigenMethod::Auto.resolve_dense(AUTO_TRIDIAG_MIN_DIM),
-            EigenMethod::DenseTridiagonal
-        );
         let r = EigenMethod::RandomizedTruncated { oversample: 3, power_iters: 1, seed: 42 };
-        assert_eq!(r.resolve_dense(50), EigenMethod::DenseJacobi);
-        assert_eq!(r.resolve_dense(AUTO_DENSE_MAX_DIM + 1), EigenMethod::DenseTridiagonal);
+        for p in [4, 121, AUTO_DENSE_MAX_DIM + 1, 10_000] {
+            for method in [EigenMethod::DenseTridiagonal, EigenMethod::Auto, r] {
+                assert_eq!(method.resolve_dense(p), EigenMethod::DenseTridiagonal, "{method:?}");
+            }
+        }
     }
 
     #[test]
     fn dense_backend_returns_full_spectrum() {
         let x = Matrix::from_fn(12, 6, |i, j| ((i + 1) * (j + 2)) as f64 + (i as f64 * 0.3).sin());
-        let svd = DenseJacobiBackend.fit_svd(&x, 2).unwrap();
+        let svd = DenseTridiagonalBackend.fit_svd(&x, 2).unwrap();
         assert!(svd.rank() >= 2);
-        assert_eq!(DenseJacobiBackend.name(), "dense-jacobi");
+        assert_eq!(DenseTridiagonalBackend.name(), "dense-tridiagonal");
     }
 
     #[test]
     fn tridiagonal_backend_matches_jacobi_spectrum() {
         let x = Matrix::from_fn(30, 18, |i, j| ((i * 5 + j * 3) % 13) as f64 - 6.0);
-        let jac = DenseJacobiBackend.fit_svd(&x, 4).unwrap();
+        let gram = crate::scatter(&x).unwrap();
+        let (jac, _) = crate::jacobi_oracle::jacobi_eigen(gram.as_slice(), 18);
         let tri = DenseTridiagonalBackend.fit_svd(&x, 4).unwrap();
-        assert_eq!(DenseTridiagonalBackend.name(), "dense-tridiagonal");
-        assert_eq!(jac.rank(), tri.rank());
         // Compare eigenvalues (σ²), not σ: for numerically-zero tail
         // values the sqrt amplifies the eigensolvers' eps·λ_max jitter.
-        let scale = 1.0 + jac.sigma[0] * jac.sigma[0];
-        for (a, b) in jac.sigma.iter().zip(&tri.sigma) {
-            assert!((a * a - b * b).abs() <= 1e-11 * scale, "sigma mismatch: {a} vs {b}");
+        let scale = 1.0 + jac[0];
+        assert!(tri.rank() <= jac.len());
+        for (a, b) in jac.iter().zip(&tri.sigma) {
+            assert!((a - b * b).abs() <= 1e-11 * scale, "eigenvalue mismatch: {a} vs {}", b * b);
         }
     }
 
     #[test]
     fn dispatch_matches_direct_calls() {
         let x = Matrix::from_fn(25, 30, |i, j| ((i * 5 + j * 3) % 13) as f64 - 6.0);
-        let via_enum = truncated_svd(&x, 4, EigenMethod::DenseJacobi).unwrap();
         let direct = crate::svd::thin_svd(&x, 0.0).unwrap();
-        assert_eq!(via_enum.sigma, direct.sigma);
-
-        let via_enum = truncated_svd(&x, 4, EigenMethod::DenseTridiagonal).unwrap();
-        let direct = thin_svd_with(&x, 0.0, EigenMethod::DenseTridiagonal).unwrap();
-        assert_eq!(via_enum.sigma, direct.sigma);
+        for method in [EigenMethod::DenseTridiagonal, EigenMethod::Auto] {
+            let via_enum = truncated_svd(&x, 4, method).unwrap();
+            assert_eq!(via_enum.sigma, direct.sigma, "{method:?}");
+            assert_eq!(via_enum.v.as_slice(), direct.v.as_slice(), "{method:?}");
+        }
 
         let method = EigenMethod::RandomizedTruncated { oversample: 6, power_iters: 2, seed: 7 };
         let via_enum = truncated_svd(&x, 4, method).unwrap();

@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn display_no_convergence() {
-        let e = LinalgError::NoConvergence { op: "jacobi", iterations: 100 };
+        let e = LinalgError::NoConvergence { op: "tridiag_qr", iterations: 100 };
         assert!(e.to_string().contains("failed to converge after 100"));
     }
 

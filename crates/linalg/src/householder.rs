@@ -1,6 +1,6 @@
 //! Blocked Householder tridiagonalization with compact-WY back-transform.
 //!
-//! First stage of the [`crate::eigen_symmetric_tridiagonal`] solver: a
+//! First stage of the [`crate::eigen_symmetric`] solver: a
 //! symmetric `A` is reduced to `T = Qᵀ A Q` with `T` tridiagonal and
 //! `Q = H₀ H₁ ⋯ H_{n-3}` a product of Householder reflectors
 //! `H_j = I - τ_j v_j v_jᵀ` (LAPACK `dsytrd` convention: `v_j` is zero

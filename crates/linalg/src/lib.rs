@@ -1,11 +1,12 @@
 //! # odflow-linalg — dense numerics substrate for the subspace method
 //!
 //! Self-contained dense linear algebra used by the `odflow` workspace:
-//! a row-major [`Matrix`], symmetric eigendecomposition by the cyclic Jacobi
-//! method ([`eigen_symmetric`]) or by blocked Householder tridiagonalization
-//! with implicit-shift QR ([`eigen_symmetric_tridiagonal`]), thin SVD via
-//! the Gram eigenproblem ([`thin_svd`]), column centering/standardization,
-//! and covariance / correlation matrices.
+//! a row-major [`Matrix`], symmetric eigendecomposition by blocked
+//! Householder tridiagonalization with implicit-shift QR
+//! ([`eigen_symmetric`]), thin SVD via the Gram eigenproblem
+//! ([`thin_svd`]), a randomized truncated SVD for OD spaces too large for
+//! a dense Gram matrix ([`randomized_thin_svd`]), column
+//! centering/standardization, and covariance / correlation matrices.
 //!
 //! The paper this workspace reproduces (Lakhina, Crovella & Diot,
 //! *Characterization of Network-Wide Anomalies in Traffic Flows*, IMC 2004)
@@ -22,7 +23,9 @@
 //!
 //! // 8 observations of 3 correlated variables.
 //! let x = Matrix::from_fn(8, 3, |i, j| ((i + 1) * (j + 1)) as f64);
-//! let svd = thin_svd(&x, 1e-12).unwrap();
+//! // The Gram route squares the spectrum, so singular values below
+//! // ~sqrt(eps)·σ_max are rounding noise: cut there.
+//! let svd = thin_svd(&x, 1e-6).unwrap();
 //! assert_eq!(svd.rank(), 1); // perfectly correlated -> rank 1
 //! ```
 
@@ -35,6 +38,9 @@ mod cov;
 mod eigen;
 mod error;
 mod householder;
+#[cfg(test)]
+#[path = "../tests/support/jacobi.rs"]
+mod jacobi_oracle;
 mod matrix;
 mod randomized;
 mod solve;
@@ -43,15 +49,12 @@ mod tridiag;
 pub mod vecops;
 
 pub use backend::{
-    truncated_svd, DenseJacobiBackend, DenseTridiagonalBackend, EigenBackend, EigenMethod,
-    RandomizedTruncatedBackend, AUTO_DENSE_MAX_DIM, AUTO_TRIDIAG_MIN_DIM,
+    truncated_svd, DenseTridiagonalBackend, EigenBackend, EigenMethod, RandomizedTruncatedBackend,
+    AUTO_DENSE_MAX_DIM,
 };
 pub use center::{center_columns, column_means, standardize_columns, Centering};
 pub use cov::{correlation, covariance, scatter};
-pub use eigen::{
-    eigen_symmetric, eigen_symmetric_auto, eigen_symmetric_tridiagonal, eigen_symmetric_with,
-    EigenDecomposition, JacobiOptions, JacobiOrdering, JACOBI_PARALLEL_MIN_DIM,
-};
+pub use eigen::{eigen_symmetric, EigenDecomposition};
 pub use error::{LinalgError, Result};
 pub use matrix::Matrix;
 pub use randomized::{randomized_thin_svd, RandomizedSvdOptions, DEFAULT_SKETCH_SEED};

@@ -24,7 +24,7 @@
 //! product runs on the `odflow_par` kernels whose reductions are combined
 //! in chunk order. The whole factorization is therefore **bit-identical
 //! for every thread count and every run with the same seed** — the same
-//! contract as the dense Jacobi path.
+//! contract as the dense tridiagonal path.
 
 use crate::eigen::eigen_symmetric;
 use crate::error::{LinalgError, Result};

@@ -9,7 +9,7 @@
 //! captured variance.
 
 use crate::backend::EigenMethod;
-use crate::eigen::{eigen_symmetric_tridiagonal, eigen_symmetric_with, JacobiOptions};
+use crate::eigen::eigen_symmetric;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::vecops;
@@ -76,10 +76,8 @@ fn scale_cols(m: &Matrix, s: &[f64]) -> Matrix {
 /// Computes the thin SVD of `x`, dropping singular values below
 /// `rel_cutoff * σ_max` (pass `0.0` to keep all `min(n, p)` triplets).
 ///
-/// The Gram eigensolve follows [`EigenMethod::Auto`]'s dense crossover:
-/// cyclic Jacobi below [`crate::AUTO_TRIDIAG_MIN_DIM`], the blocked
-/// tridiagonal solver at or above it. Use [`thin_svd_with`] to pin a
-/// specific dense eigensolver.
+/// The Gram eigenproblem goes through [`eigen_symmetric`], the blocked
+/// Householder + implicit-shift QR solver, at every `p`.
 ///
 /// The `U = X V Σ⁻¹` column assembly fans out over the [`odflow_par`]
 /// pool; each column is extracted, rescaled, and re-normalized by exactly
@@ -103,35 +101,6 @@ fn scale_cols(m: &Matrix, s: &[f64]) -> Matrix {
 /// * [`LinalgError::NonFinite`] when `x` contains NaN/infinities.
 /// * Propagates eigensolver errors (practically unreachable for finite data).
 pub fn thin_svd(x: &Matrix, rel_cutoff: f64) -> Result<Svd> {
-    thin_svd_with(x, rel_cutoff, EigenMethod::Auto)
-}
-
-/// [`thin_svd`] with an explicit choice of dense Gram eigensolver.
-///
-/// The Gram eigenproblem is dispatched through
-/// [`EigenMethod::resolve_dense`]: explicit dense methods are honored
-/// verbatim, while `Auto` (and the randomized method, which cannot
-/// produce a full spectrum) pick cyclic Jacobi below the tridiagonal
-/// crossover dimension and the blocked Householder + implicit-shift QR
-/// solver at or above it. Everything downstream of the eigensolve — the
-/// cutoff sweep and the `U = X V Σ⁻¹` assembly — is shared, so the two
-/// dense paths differ only in eigensolver arithmetic.
-///
-/// ```
-/// use odflow_linalg::{thin_svd_with, EigenMethod, Matrix};
-///
-/// let x = Matrix::from_fn(48, 12, |i, j| ((i * 7 + j * 13) % 23) as f64);
-/// let jac = thin_svd_with(&x, 0.0, EigenMethod::DenseJacobi).unwrap();
-/// let tri = thin_svd_with(&x, 0.0, EigenMethod::DenseTridiagonal).unwrap();
-/// for (a, b) in jac.sigma.iter().zip(&tri.sigma) {
-///     assert!((a - b).abs() < 1e-8 * (1.0 + a));
-/// }
-/// ```
-///
-/// # Errors
-///
-/// Same contract as [`thin_svd`].
-pub fn thin_svd_with(x: &Matrix, rel_cutoff: f64, method: EigenMethod) -> Result<Svd> {
     if x.nrows() == 0 || x.ncols() == 0 {
         return Err(LinalgError::Empty { op: "thin_svd" });
     }
@@ -140,11 +109,7 @@ pub fn thin_svd_with(x: &Matrix, rel_cutoff: f64, method: EigenMethod) -> Result
     }
 
     let gram = crate::cov::scatter(x)?; // X^T X, p x p
-    let eig = match method.resolve_dense(x.ncols()) {
-        EigenMethod::DenseTridiagonal => eigen_symmetric_tridiagonal(&gram)?,
-        // resolve_dense only ever returns a dense method.
-        _ => eigen_symmetric_with(&gram, JacobiOptions::default())?,
-    };
+    let eig = eigen_symmetric(&gram)?;
 
     let sigma_max = eig.eigenvalues.first().copied().unwrap_or(0.0).max(0.0).sqrt();
     let cutoff = rel_cutoff * sigma_max;
@@ -196,6 +161,29 @@ pub fn thin_svd_with(x: &Matrix, rel_cutoff: f64, method: EigenMethod) -> Result
     }
 
     Ok(Svd { u, sigma, v })
+}
+
+/// [`thin_svd`] for a configured [`EigenMethod`], dispatched through
+/// [`EigenMethod::resolve_dense`]. Every method resolves to the one dense
+/// solver for full-spectrum work (the randomized method cannot produce a
+/// full spectrum), so this equals [`thin_svd`] for every `method`.
+///
+/// ```
+/// use odflow_linalg::{thin_svd, thin_svd_with, EigenMethod, Matrix};
+///
+/// let x = Matrix::from_fn(48, 12, |i, j| ((i * 7 + j * 13) % 23) as f64);
+/// let tri = thin_svd_with(&x, 0.0, EigenMethod::DenseTridiagonal).unwrap();
+/// assert_eq!(tri.sigma, thin_svd(&x, 0.0).unwrap().sigma);
+/// ```
+///
+/// # Errors
+///
+/// Same contract as [`thin_svd`].
+pub fn thin_svd_with(x: &Matrix, rel_cutoff: f64, method: EigenMethod) -> Result<Svd> {
+    match method.resolve_dense(x.ncols()) {
+        EigenMethod::DenseTridiagonal => thin_svd(x, rel_cutoff),
+        other => unreachable!("resolve_dense returned {other:?}"),
+    }
 }
 
 #[cfg(test)]
@@ -299,27 +287,32 @@ mod tests {
     #[test]
     fn thin_svd_with_tridiagonal_matches_jacobi() {
         let x = data_matrix(40, 12);
-        let jac = thin_svd_with(&x, 0.0, EigenMethod::DenseJacobi).unwrap();
+        let gram = crate::cov::scatter(&x).unwrap();
+        let (jac, _) = crate::jacobi_oracle::jacobi_eigen(gram.as_slice(), 12);
         let tri = thin_svd_with(&x, 0.0, EigenMethod::DenseTridiagonal).unwrap();
-        assert_eq!(jac.rank(), tri.rank());
-        let scale = 1.0 + jac.sigma[0];
-        for (a, b) in jac.sigma.iter().zip(&tri.sigma) {
-            assert!((a - b).abs() < 1e-9 * scale, "sigma mismatch: {a} vs {b}");
+        assert_eq!(jac.len(), tri.rank());
+        let scale = 1.0 + jac[0].sqrt();
+        for (a, b) in jac.iter().zip(&tri.sigma) {
+            assert!((a.sqrt() - b).abs() < 1e-9 * scale, "sigma mismatch: {} vs {b}", a.sqrt());
         }
         // Reconstruction through the tridiagonal path is exact too.
         assert!(tri.reconstruct().unwrap().approx_eq(&x, 1e-8));
     }
 
     #[test]
-    fn thin_svd_default_pins_jacobi_below_crossover() {
-        // At small p the Auto dense crossover lands on Jacobi, so the
-        // default entry point is bitwise-identical to the explicit choice.
+    fn thin_svd_default_is_the_tridiagonal_solver() {
+        // One dense solver: the default entry point is bitwise-identical
+        // to every explicit method's full-spectrum dispatch.
         let x = data_matrix(30, 9);
         let auto = thin_svd(&x, 0.0).unwrap();
-        let jac = thin_svd_with(&x, 0.0, EigenMethod::DenseJacobi).unwrap();
-        assert_eq!(auto.sigma, jac.sigma);
-        assert_eq!(auto.u.as_slice(), jac.u.as_slice());
-        assert_eq!(auto.v.as_slice(), jac.v.as_slice());
+        let randomized =
+            EigenMethod::RandomizedTruncated { oversample: 2, power_iters: 1, seed: 3 };
+        for method in [EigenMethod::DenseTridiagonal, EigenMethod::Auto, randomized] {
+            let via = thin_svd_with(&x, 0.0, method).unwrap();
+            assert_eq!(auto.sigma, via.sigma, "{method:?}");
+            assert_eq!(auto.u.as_slice(), via.u.as_slice(), "{method:?}");
+            assert_eq!(auto.v.as_slice(), via.v.as_slice(), "{method:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Implicit Wilkinson-shift QR on a symmetric tridiagonal matrix.
 //!
-//! Second stage of the [`crate::eigen_symmetric_tridiagonal`] solver: given
+//! Second stage of the [`crate::eigen_symmetric`] solver: given
 //! the tridiagonal `(d, e)` produced by the blocked Householder reduction,
 //! each QR sweep chases a bulge down the active block with a sequence of
 //! Givens rotations whose shift is the Wilkinson choice (the eigenvalue of

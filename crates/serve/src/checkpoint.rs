@@ -643,10 +643,13 @@ fn dec_matrix(d: &mut Dec<'_>) -> DecResult<Matrix> {
         .map_err(|e| CheckpointError::Corrupt(format!("matrix shape: {e}")))
 }
 
+/// Eigen-method tags. Tag 1 named a retired dense solver; it is never
+/// written and decodes as [`EigenMethod::DenseTridiagonal`], the one dense
+/// solver, so logs written before the retirement stay recoverable (a
+/// restored model's matrices are decoded verbatim, never refit).
 fn enc_method(e: &mut Enc, m: EigenMethod) {
     match m {
         EigenMethod::Auto => e.u8(0),
-        EigenMethod::DenseJacobi => e.u8(1),
         EigenMethod::DenseTridiagonal => e.u8(2),
         EigenMethod::RandomizedTruncated { oversample, power_iters, seed } => {
             e.u8(3);
@@ -660,8 +663,7 @@ fn enc_method(e: &mut Enc, m: EigenMethod) {
 fn dec_method(d: &mut Dec<'_>) -> DecResult<EigenMethod> {
     match d.u8()? {
         0 => Ok(EigenMethod::Auto),
-        1 => Ok(EigenMethod::DenseJacobi),
-        2 => Ok(EigenMethod::DenseTridiagonal),
+        1 | 2 => Ok(EigenMethod::DenseTridiagonal),
         3 => Ok(EigenMethod::RandomizedTruncated {
             oversample: d.usize_val()?,
             power_iters: d.usize_val()?,
@@ -1638,6 +1640,26 @@ mod tests {
         assert_eq!(decoded.quarantine, state.quarantine);
         assert_eq!(decoded.exporters, state.exporters);
         assert_eq!(decoded.live_verdicts.len(), 3);
+    }
+
+    #[test]
+    fn legacy_dense_method_tag_decodes_as_tridiagonal() {
+        // A v2 log written before the dense solvers were unified carries
+        // tag 1 in its SubspaceConfig; it must still decode (onto the one
+        // dense solver), and re-encoding writes tag 2.
+        let mut bytes = 4u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&0.001f64.to_bits().to_le_bytes());
+        bytes.push(1);
+        let mut d = Dec::new(&bytes);
+        let config = dec_subspace_config(&mut d).unwrap();
+        assert_eq!(d.remaining(), 0);
+        assert_eq!(config.k, 4);
+        assert_eq!(config.alpha.to_bits(), 0.001f64.to_bits());
+        assert_eq!(config.method, EigenMethod::DenseTridiagonal);
+        let mut e = Enc::new();
+        enc_subspace_config(&mut e, config);
+        assert_eq!(e.buf[..bytes.len() - 1], bytes[..bytes.len() - 1]);
+        assert_eq!(e.buf.last(), Some(&2));
     }
 
     #[test]

@@ -17,9 +17,17 @@ use odflow_serve::{
 };
 use odflow_subspace::{Diagnosis, StatisticKind};
 use std::io::{Read, Write};
+use std::sync::atomic::Ordering::SeqCst;
 
 const NUM_BINS: usize = 48;
 const SEED: u64 = 20040519;
+/// Frame-queue capacity for the equivalence test. The unpaced loopback
+/// replay (~7.2k frames at 48 bins) can outrun the tenant worker, and a
+/// shed frame is a sequence gap, so the queue holds the whole replay: the
+/// test pins daemon == batch, not incidental shedding (which
+/// `backpressure_sheds_beyond_capacity_and_accounts_exactly` covers on a
+/// bounded queue).
+const QUEUE_FRAMES: usize = 8192;
 
 fn abilene_spec(num_bins: usize, scenario: &Scenario) -> TenantSpec {
     let routes = scenario.plan.build_route_table(1.0).unwrap();
@@ -60,9 +68,11 @@ fn canonical_verdict_bytes(d: &Diagnosis) -> Vec<u8> {
 
 /// Runs a daemon on a worker thread while the caller replays `scenario`
 /// into it over TCP with a trailing drain; returns the daemon report.
+/// Asserts that tenant 0 shed nothing at admission.
 fn serve_roundtrip(scenario: &Scenario, config: ServeConfig) -> DaemonReport {
     let daemon = Daemon::bind(config).unwrap();
     let addr = daemon.tcp_addr().unwrap();
+    let handle = daemon.handle();
     let mut slot: Option<DaemonReport> = None;
     let pool = scoped_pool::Pool::new(1);
     pool.scoped(|scope| {
@@ -75,17 +85,21 @@ fn serve_roundtrip(scenario: &Scenario, config: ServeConfig) -> DaemonReport {
         assert_eq!(report.frames_rendered, report.frames_sent);
     });
     pool.shutdown();
+    let dropped = handle.tenant_counters(0).unwrap().frames_dropped_backpressure.load(SeqCst);
+    assert_eq!(dropped, 0, "the queue must hold the whole replay");
     slot.unwrap()
 }
 
 #[test]
 fn loopback_daemon_matches_batch_run_scenario_at_threads_1_and_4() {
     let scenario = Scenario::paper_window(SEED, NUM_BINS).unwrap();
+    let mut spec = abilene_spec(NUM_BINS, &scenario);
+    spec.config.queue_frames = QUEUE_FRAMES;
     let report = serve_roundtrip(
         &scenario,
         ServeConfig {
             tcp_bind: Some("127.0.0.1:0".to_owned()),
-            tenants: vec![abilene_spec(NUM_BINS, &scenario)],
+            tenants: vec![spec],
             ..ServeConfig::default()
         },
     );

@@ -11,7 +11,7 @@
 //! flows".
 
 use crate::error::{Result, SubspaceError};
-use odflow_linalg::{center_columns, thin_svd_with, truncated_svd, Centering, EigenMethod, Matrix};
+use odflow_linalg::{center_columns, thin_svd, truncated_svd, Centering, EigenMethod, Matrix};
 
 /// The eigenflow decomposition of an `n x p` OD traffic matrix.
 #[derive(Debug, Clone)]
@@ -46,28 +46,19 @@ impl EigenflowDecomposition {
     /// the paper requires ("the multivariate mean ... for eigenflows is
     /// equal to zero by construction").
     ///
-    /// This is the exact dense path (full spectrum): cyclic Jacobi below
-    /// the tridiagonal crossover dimension, blocked Householder +
-    /// implicit-shift QR at or above it (see
-    /// [`odflow_linalg::AUTO_TRIDIAG_MIN_DIM`]). Use [`Self::fit_with`] to
-    /// pin a backend — at large-mesh scale (`p ≈ 90 000`) the dense Gram
-    /// matrix
-    /// is out of reach by design.
+    /// This is the exact dense path (full spectrum): blocked Householder +
+    /// implicit-shift QR on the Gram matrix. Use [`Self::fit_with`] to pin
+    /// a backend — at large-mesh scale (`p ≈ 90 000`) the dense Gram
+    /// matrix is out of reach by design.
     ///
     /// # Errors
     ///
     /// * [`SubspaceError::InsufficientData`] unless `n >= 2` and `p >= 2`.
     /// * [`SubspaceError::Numeric`] for non-finite input.
     pub fn fit(x: &Matrix) -> Result<Self> {
-        Self::fit_full(x, EigenMethod::Auto)
-    }
-
-    /// The shared full-spectrum dense path: center, thin-SVD with the
-    /// requested dense eigensolver, record the exact total energy.
-    fn fit_full(x: &Matrix, method: EigenMethod) -> Result<Self> {
         let (n, _) = Self::check_shape(x)?;
         let (centered, centering) = center_columns(x)?;
-        let svd = thin_svd_with(&centered, 0.0, method)?;
+        let svd = thin_svd(&centered, 0.0)?;
         let total_energy: f64 = svd.sigma.iter().map(|s| s * s).sum();
         Ok(EigenflowDecomposition {
             eigenflows: svd.u,
@@ -83,10 +74,9 @@ impl EigenflowDecomposition {
     /// Computes the decomposition with an explicit eigen-backend,
     /// retaining (at least) the top `rank` eigenflows.
     ///
-    /// The dense methods (`DenseJacobi`, `DenseTridiagonal`, or `Auto`
-    /// resolving to either) take exactly the [`Self::fit`] full-spectrum
-    /// path — bit-identical to `fit` whenever `Auto` would pick the same
-    /// solver. The randomized backend keeps `rank + oversample` triplets
+    /// The dense method (`DenseTridiagonal`, or `Auto` resolving to it)
+    /// takes exactly the [`Self::fit`] full-spectrum path, bit-identical
+    /// to `fit`. The randomized backend keeps `rank + oversample` triplets
     /// and records the unseen tail energy in [`Self::total_energy`]
     /// (computed from the centered data's Frobenius norm, which costs one
     /// pass — never a `p x p` matrix).
@@ -98,9 +88,7 @@ impl EigenflowDecomposition {
     pub fn fit_with(x: &Matrix, rank: usize, method: EigenMethod) -> Result<Self> {
         let (n, p) = Self::check_shape(x)?;
         match method.resolve(p) {
-            dense @ (EigenMethod::DenseJacobi | EigenMethod::DenseTridiagonal) => {
-                Self::fit_full(x, dense)
-            }
+            EigenMethod::DenseTridiagonal => Self::fit(x),
             resolved => {
                 let (centered, centering) = center_columns(x)?;
                 let total_energy = {
@@ -303,7 +291,7 @@ mod tests {
     fn fit_with_dense_is_bit_identical_to_fit() {
         let x = diurnal_matrix(120, 10);
         let direct = EigenflowDecomposition::fit(&x).unwrap();
-        for method in [EigenMethod::DenseJacobi, EigenMethod::Auto] {
+        for method in [EigenMethod::DenseTridiagonal, EigenMethod::Auto] {
             let via = EigenflowDecomposition::fit_with(&x, 4, method).unwrap();
             assert_eq!(via.singular_values, direct.singular_values);
             assert_eq!(via.loadings.as_slice(), direct.loadings.as_slice());
@@ -316,16 +304,20 @@ mod tests {
     #[test]
     fn fit_with_tridiagonal_is_full_spectrum_and_agrees() {
         let x = diurnal_matrix(90, 12);
-        let jac = EigenflowDecomposition::fit_with(&x, 4, EigenMethod::DenseJacobi).unwrap();
         let tri = EigenflowDecomposition::fit_with(&x, 4, EigenMethod::DenseTridiagonal).unwrap();
         assert!(!tri.truncated);
-        assert_eq!(jac.rank(), tri.rank());
-        // Agreement on eigenvalues (σ²) at eigensolver precision.
-        let scale = 1.0 + jac.singular_values[0] * jac.singular_values[0];
-        for (a, b) in jac.singular_values.iter().zip(&tri.singular_values) {
-            assert!((a * a - b * b).abs() <= 1e-10 * scale, "{a} vs {b}");
+        // Agreement with the independent Jacobi oracle on the centered
+        // Gram spectrum (σ²), at eigensolver precision.
+        let (centered, _) = center_columns(&x).unwrap();
+        let gram = odflow_linalg::scatter(&centered).unwrap();
+        let (jac, _) = crate::jacobi_oracle::jacobi_eigen(gram.as_slice(), 12);
+        let scale = 1.0 + jac[0];
+        assert!(tri.rank() <= jac.len());
+        for (a, b) in jac.iter().zip(&tri.singular_values) {
+            assert!((a - b * b).abs() <= 1e-10 * scale, "{a} vs {}", b * b);
         }
-        assert!((jac.total_energy - tri.total_energy).abs() <= 1e-10 * (1.0 + jac.total_energy));
+        let jac_energy: f64 = jac.iter().map(|l| l.max(0.0)).sum();
+        assert!((jac_energy - tri.total_energy).abs() <= 1e-10 * (1.0 + jac_energy));
     }
 
     #[test]

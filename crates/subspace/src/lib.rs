@@ -52,6 +52,9 @@ mod eigenflow;
 mod error;
 mod events;
 mod identify;
+#[cfg(test)]
+#[path = "../../linalg/tests/support/jacobi.rs"]
+mod jacobi_oracle;
 mod model;
 mod streaming;
 #[cfg(test)]

@@ -1,6 +1,6 @@
-//! Backend equivalence: the randomized truncated eigensolver and the
-//! blocked tridiagonal solver must agree with the exact dense Jacobi path
-//! wherever both can run.
+//! Backend equivalence: the randomized truncated eigensolver must agree
+//! with the exact dense tridiagonal path wherever both can run, and the
+//! dense path must agree with an independent serial cyclic Jacobi oracle.
 //!
 //! Pinned properties, at Abilene scale (`p = 121`) and across
 //! `ODFLOW_THREADS ∈ {1, typical, oversubscribed}`:
@@ -13,8 +13,12 @@
 //! * the default Abilene-scale detection output **byte-identical** for
 //!   every thread count.
 
-use odflow_linalg::{thin_svd, EigenMethod, Matrix};
+#[path = "../../linalg/tests/support/jacobi.rs"]
+mod jacobi_oracle;
+
+use odflow_linalg::{center_columns, scatter, thin_svd, EigenMethod, Matrix};
 use odflow_par::with_thread_limit;
+use odflow_stats::{q_threshold, t2_threshold};
 use odflow_subspace::{SubspaceConfig, SubspaceDetector, SubspaceModel};
 use proptest::prelude::*;
 
@@ -127,44 +131,94 @@ fn abilene_scale_backends_agree() {
     assert!(dense_det.anomalous_bins().contains(&290));
 }
 
+/// A subspace model built from the Jacobi oracle's eigensystem of the
+/// centered Gram matrix, with the paper's thresholds: the independent
+/// reference for the tridiagonal-backed [`SubspaceModel`].
+struct OracleModel {
+    means: Vec<f64>,
+    /// Top-`k` principal axes, each of length `p`.
+    axes: Vec<Vec<f64>>,
+    /// Covariance eigenvalues, descending, full length `p`.
+    eigenvalues: Vec<f64>,
+    spe_threshold: f64,
+    t2_threshold: f64,
+}
+
+impl OracleModel {
+    fn fit(x: &Matrix, k: usize, alpha: f64) -> OracleModel {
+        let (n, p) = x.shape();
+        let (centered, centering) = center_columns(x).unwrap();
+        let gram = scatter(&centered).unwrap();
+        let (values, vectors) = jacobi_oracle::jacobi_eigen(gram.as_slice(), p);
+        let eigenvalues: Vec<f64> = values.iter().map(|l| l.max(0.0) / (n as f64 - 1.0)).collect();
+        let axes = (0..k).map(|i| (0..p).map(|j| vectors[j * p + i]).collect()).collect();
+        OracleModel {
+            means: centering.means,
+            axes,
+            spe_threshold: q_threshold(&eigenvalues, k, alpha).unwrap(),
+            t2_threshold: t2_threshold(k, n, alpha).unwrap(),
+            eigenvalues,
+        }
+    }
+
+    /// (SPE, T²) of one raw observation.
+    fn score(&self, row: &[f64]) -> (f64, f64) {
+        let c: Vec<f64> = row.iter().zip(&self.means).map(|(x, m)| x - m).collect();
+        let mut residual = c.clone();
+        let mut t2 = 0.0;
+        for (axis, lambda) in self.axes.iter().zip(&self.eigenvalues) {
+            let z: f64 = axis.iter().zip(&c).map(|(a, x)| a * x).sum();
+            t2 += z * z / lambda;
+            for (r, a) in residual.iter_mut().zip(axis) {
+                *r -= z * a;
+            }
+        }
+        (residual.iter().map(|r| r * r).sum(), t2)
+    }
+}
+
 #[test]
 fn tridiagonal_backend_agrees_with_jacobi_at_abilene_scale() {
-    // Same contract the randomized backend is held to, for the blocked
-    // tridiagonal solver: eigenvalues, principal angles, and — decisively —
-    // identical SPE/T² verdicts on the paper's p = 121 with injected spikes.
+    // The dense tridiagonal fit against the independent Jacobi oracle on
+    // the paper's p = 121 with injected spikes: eigenvalues, principal
+    // angles, thresholds, and — decisively — identical SPE/T² verdicts.
     let x = traffic(400, 121, &[(150, 40, 4000.0), (290, 7, 3500.0)]);
-    let k = 4;
-    let jac = SubspaceModel::fit(
-        &x,
-        SubspaceConfig { method: EigenMethod::DenseJacobi, ..SubspaceConfig::default() },
-    )
-    .unwrap();
-    let tri = SubspaceModel::fit(
-        &x,
-        SubspaceConfig { method: EigenMethod::DenseTridiagonal, ..SubspaceConfig::default() },
-    )
-    .unwrap();
-    assert_models_agree(&jac, &tri, k, &x);
+    let cfg = SubspaceConfig::default();
+    let k = cfg.k;
+    let tri = SubspaceModel::fit(&x, cfg).unwrap();
+    let oracle = OracleModel::fit(&x, k, cfg.alpha);
 
-    let jac_det = SubspaceDetector::new(SubspaceConfig {
-        method: EigenMethod::DenseJacobi,
-        ..SubspaceConfig::default()
-    })
-    .analyze(&x)
-    .unwrap();
-    let tri_det = SubspaceDetector::new(SubspaceConfig {
-        method: EigenMethod::DenseTridiagonal,
-        ..SubspaceConfig::default()
-    })
-    .analyze(&x)
-    .unwrap();
-    assert_eq!(jac_det.anomalous_bins(), tri_det.anomalous_bins());
-    for (a, b) in jac_det.detections.iter().zip(&tri_det.detections) {
-        assert_eq!(a.bin, b.bin);
-        assert_eq!(a.kind, b.kind);
+    let scale = oracle.eigenvalues[0];
+    for (i, &o) in oracle.eigenvalues.iter().enumerate() {
+        let t = tri.decomposition().eigenvalue(i);
+        assert!((t - o).abs() <= 1e-9 * scale, "eigenvalue {i}: tridiagonal {t} vs oracle {o}");
     }
-    assert!(tri_det.anomalous_bins().contains(&150));
-    assert!(tri_det.anomalous_bins().contains(&290));
+    let axes = Matrix::from_fn(121, k, |j, i| oracle.axes[i][j]);
+    for (i, c) in
+        principal_angle_cosines(&tri.decomposition().loadings, &axes, k).iter().enumerate()
+    {
+        assert!(*c > 1.0 - 1e-8, "principal angle {i} too wide: cos = {c}");
+    }
+    let rel = |a: f64, b: f64| (a - b).abs() <= 1e-8 * (1.0 + a.abs());
+    assert!(rel(tri.spe_threshold(), oracle.spe_threshold), "SPE threshold");
+    assert!(rel(tri.t2_threshold(), oracle.t2_threshold), "T² threshold");
+
+    let detections = SubspaceDetector::new(cfg).analyze(&x).unwrap();
+    let mut oracle_bins = Vec::new();
+    for (bin, row) in x.rows_iter().enumerate() {
+        let (spe_o, t2_o) = oracle.score(row);
+        let (spe_t, t2_t) = (tri.spe(row).unwrap(), tri.t2(row).unwrap());
+        assert!(rel(spe_t, spe_o), "bin {bin}: SPE {spe_t} vs oracle {spe_o}");
+        assert!(rel(t2_t, t2_o), "bin {bin}: T² {t2_t} vs oracle {t2_o}");
+        assert_eq!(spe_t > tri.spe_threshold(), spe_o > oracle.spe_threshold, "bin {bin} SPE");
+        assert_eq!(t2_t > tri.t2_threshold(), t2_o > oracle.t2_threshold, "bin {bin} T²");
+        if spe_o > oracle.spe_threshold || t2_o > oracle.t2_threshold {
+            oracle_bins.push(bin);
+        }
+    }
+    assert_eq!(detections.anomalous_bins(), oracle_bins);
+    assert!(oracle_bins.contains(&150));
+    assert!(oracle_bins.contains(&290));
 }
 
 #[test]
@@ -197,8 +251,7 @@ fn tridiagonal_fit_is_thread_count_invariant() {
 
 #[test]
 fn abilene_default_detection_is_byte_identical_across_thread_counts() {
-    // The release gate behind `AUTO_TRIDIAG_MIN_DIM`: the default
-    // (Auto-method) detection pipeline at the paper's p = 121 produces
+    // The default (Auto-method) detection pipeline at the paper's p = 121 produces
     // byte-identical output — statistics, thresholds, verdicts — for
     // serial, typical, and oversubscribed pools.
     let x = traffic(400, 121, &[(150, 40, 4000.0), (290, 7, 3500.0)]);
@@ -255,7 +308,7 @@ fn wide_matrix_randomized_agrees_with_dense() {
     let k = 4;
     let dense = SubspaceModel::fit(
         &x,
-        SubspaceConfig { k, method: EigenMethod::DenseJacobi, ..SubspaceConfig::default() },
+        SubspaceConfig { k, method: EigenMethod::DenseTridiagonal, ..SubspaceConfig::default() },
     )
     .unwrap();
     let rnd = SubspaceModel::fit(

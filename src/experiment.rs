@@ -111,6 +111,10 @@ pub fn run_scenario(
     // any `ODFLOW_THREADS`.
     let routes = scenario.plan.build_route_table(1.0)?;
     let ingress = IngressResolver::synthetic(&scenario.topology);
+    // Event digests re-resolve regenerated records with one resolver per
+    // run; the route-table clone shares its lazily built stride table with
+    // the binning pass.
+    let mut resolver = OdResolver::new(&scenario.topology, ingress.clone(), routes.clone(), true);
     let mut pipe_cfg =
         PipelineConfig::abilene(scenario.config.start_secs, scenario.config.num_bins);
     // Honor the scenario's bin width (the abilene preset pins the paper's
@@ -125,7 +129,7 @@ pub fn run_scenario(
     // §4 step 3: classify each event.
     let mut classified = Vec::with_capacity(diagnosis.events.len());
     for event in &diagnosis.events {
-        let c = classify_event(scenario, &generator, &matrices, event, config);
+        let c = classify_event(scenario, &generator, &mut resolver, &matrices, event, config);
         classified.push(c);
     }
 
@@ -180,6 +184,7 @@ pub fn run_scenario_faulted(
 
     let routes = scenario.plan.build_route_table(1.0)?;
     let ingress = IngressResolver::synthetic(&scenario.topology);
+    let mut resolver = OdResolver::new(&scenario.topology, ingress.clone(), routes.clone(), true);
     let mut pipe_cfg =
         PipelineConfig::abilene(scenario.config.start_secs, scenario.config.num_bins);
     pipe_cfg.bin_secs = scenario.config.bin_secs;
@@ -191,7 +196,7 @@ pub fn run_scenario_faulted(
 
     let mut classified = Vec::with_capacity(qd.diagnosis.events.len());
     for event in &qd.diagnosis.events {
-        let c = classify_event(scenario, &generator, &matrices, event, config);
+        let c = classify_event(scenario, &generator, &mut resolver, &matrices, event, config);
         classified.push(c);
     }
 
@@ -243,6 +248,7 @@ pub fn truth_labels(scenario: &Scenario) -> Vec<TruthLabel> {
 fn classify_event(
     scenario: &Scenario,
     generator: &TraceGenerator<'_>,
+    resolver: &mut OdResolver,
     matrices: &TrafficMatrixSet,
     event: &AnomalyEvent,
     config: &ExperimentConfig,
@@ -294,7 +300,7 @@ fn classify_event(
 
     // Rebuild the raw flows behind the event (bin-addressable generator) and
     // digest only the records that resolve into the event's OD flows.
-    let digest = event_digest(scenario, generator, event);
+    let digest = event_digest(generator, resolver, event);
 
     let origins: std::collections::HashSet<usize> =
         event.od_flows.iter().map(|od| od / n).collect();
@@ -417,16 +423,11 @@ fn has_counterpart_spike(
 /// Digest of the raw flows behind an event: regenerates the event's bins
 /// and keeps records resolving into the event's OD flows.
 fn event_digest(
-    scenario: &Scenario,
     generator: &TraceGenerator<'_>,
+    resolver: &mut OdResolver,
     event: &AnomalyEvent,
 ) -> AttributeDigest {
     let mut digest = AttributeDigest::new();
-    let Ok(routes) = scenario.plan.build_route_table(1.0) else {
-        return digest;
-    };
-    let ingress = IngressResolver::synthetic(&scenario.topology);
-    let mut resolver = OdResolver::new(&scenario.topology, ingress, routes, true);
     for bin in event.start_bin..=event.end_bin() {
         if bin >= generator.num_bins() {
             break;
